@@ -15,7 +15,9 @@
 //     precisely the net that would have caught the 2× work undercount.
 //
 //   BENCH_solvers.json — LASSO and power-method runs (serial + distributed)
-//     with their metered counters and a full metrics-registry snapshot.
+//     with their metered counters and a full metrics-registry snapshot; the
+//     distributed solvers' update FLOPs per iteration must equal the Eq. (2)
+//     model exactly, like the sweep's.
 //
 // --quick runs test-scale datasets on the two smallest platforms (seconds,
 // CI-friendly); the default runs bench scale across all paper platforms.
@@ -383,6 +385,31 @@ int run_solvers(const Options& options, const std::vector<Dataset>& sets) {
     cases.push_back(std::move(c));
   }
 
+  // Both distributed solvers run dist_gram_apply's step under kAuto. This
+  // transform has L <= M, so that is the partitioned layout: its metered
+  // update FLOPs per iteration must equal the Eq. (2) model exactly, as in
+  // the gram-model sweep.
+  bool solver_model_ok = true;
+  const auto solver_model_check = [&](std::uint64_t update_flops,
+                                      int iterations,
+                                      const dist::PlatformSpec& platform) {
+    const Index p = platform.topology.total();
+    const auto model = static_cast<std::uint64_t>(
+        2.0 * static_cast<double>(p) *
+        core::transformed_update_cost(m, t.l, t.exd.coefficients.nnz(), n, p,
+                                      platform)
+            .flops_per_proc);
+    const auto iters = static_cast<std::uint64_t>(std::max(iterations, 0));
+    const std::uint64_t per_iteration = iters > 0 ? update_flops / iters : 0;
+    const bool exact = iters > 0 && update_flops == model * iters;
+    solver_model_ok = solver_model_ok && exact;
+    Json check = Json::object();
+    check["update_flops_per_iteration"] = per_iteration;
+    check["model_flops_per_iteration"] = model;
+    check["flops_match_exact"] = exact;
+    return check;
+  };
+
   {  // Distributed LASSO on the 1-node multi-core platform.
     const auto platform = platforms(options.quick).back();
     const dist::Cluster cluster(platform.topology);
@@ -410,6 +437,7 @@ int run_solvers(const Options& options, const std::vector<Dataset>& sets) {
     const core::UpdateCost cost = core::transformed_update_cost(
         m, t.l, t.exd.coefficients.nnz(), n, platform.topology.total(), platform);
     c["modeled_per_update"] = modeled_json(cost, platform.topology.total());
+    c["model_check"] = solver_model_check(r.update_flops, r.iterations, platform);
     cases.push_back(std::move(c));
   }
 
@@ -438,6 +466,8 @@ int run_solvers(const Options& options, const std::vector<Dataset>& sets) {
     measured["total_flops"] = r.stats.total_flops();
     measured["words_total"] = r.stats.total_words();
     c["measured"] = std::move(measured);
+    c["model_check"] =
+        solver_model_check(r.update_flops, r.total_iterations(), platform);
     cases.push_back(std::move(c));
   }
 
@@ -501,6 +531,12 @@ int run_solvers(const Options& options, const std::vector<Dataset>& sets) {
   // The registry as the solvers left it — counters and phase spans together.
   doc["metrics_snapshot"] = metrics.to_json();
   const int rc = write_file(options.out_dir + "/BENCH_solvers.json", doc);
+  if (!solver_model_ok) {
+    std::fprintf(stderr,
+                 "error: distributed solvers' update FLOPs diverged from the "
+                 "cost model\n");
+    return 1;
+  }
   if (!omp_model_ok) {
     std::fprintf(stderr,
                  "error: metered Batch-OMP FLOPs diverged from "

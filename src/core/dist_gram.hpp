@@ -1,5 +1,8 @@
 #pragma once
 
+#include <cstdint>
+#include <span>
+
 #include "dist/cluster.hpp"
 #include "la/csc_matrix.hpp"
 #include "la/matrix.hpp"
@@ -72,6 +75,50 @@ enum class GramStrategy {
   /// which is all-reduced again (L words). FLOPs are 2(M·L)/P per rank —
   /// the parallelisation Eq. (2) presumes.
   kPartitionedDictionary,
+};
+
+/// One rank's share of Algorithm 2's Gram update, the step every distributed
+/// learner on the transformed data shares. Built inside a Cluster::run body
+/// from the rank's Communicator; `apply` is a collective that every rank
+/// calls with its slice of x (the contiguous columns [begin(), end()) of C):
+///   out_i = C_iᵀ Dᵀ D Σ_j C_j x_j   (SpMV → reduce → D/Dᵀ → broadcast → SpMVᵀ).
+/// The step owns the scratch, the strategy (kAuto resolved once: replicated
+/// when L > M, partitioned otherwise), the FLOP charging and the
+/// `dist_gram.update` span, whose `iteration` arg is the step's apply count.
+class DistGramStep {
+ public:
+  DistGramStep(dist::Communicator& comm, const Matrix& d, const CscMatrix& c,
+               GramStrategy strategy = GramStrategy::kAuto);
+
+  /// out_local may alias x_local.
+  void apply(std::span<const Real> x_local, std::span<Real> out_local);
+
+  [[nodiscard]] Index begin() const noexcept { return b_; }
+  [[nodiscard]] Index end() const noexcept { return e_; }
+  [[nodiscard]] Index local_n() const noexcept { return e_ - b_; }
+  /// nnz of the rank's C slice.
+  [[nodiscard]] std::uint64_t local_nnz() const noexcept { return local_nnz_; }
+  /// Words the layout keeps on this rank: its C slice plus its share of D.
+  [[nodiscard]] std::uint64_t resident_words() const noexcept;
+  /// FLOPs of this rank's updates so far — the DistGramResult::update_flops
+  /// share (normalisation and collective adds excluded).
+  [[nodiscard]] std::uint64_t update_flops() const noexcept {
+    return update_flops_;
+  }
+
+ private:
+  void charge(std::uint64_t flops);
+
+  dist::Communicator& comm_;
+  const Matrix& d_;
+  const CscMatrix& c_;
+  GramStrategy strategy_;
+  Index b_ = 0, e_ = 0;    // owned columns of C
+  Index rb_ = 0, re_ = 0;  // owned rows of D (partitioned strategy)
+  std::uint64_t local_nnz_ = 0;
+  std::uint64_t update_flops_ = 0;
+  std::uint64_t applies_ = 0;
+  la::Vector v1_, v2_, v3_;
 };
 
 /// Algorithm 2: `iterations` successive Gram updates x <- (DC)ᵀDC·x on the

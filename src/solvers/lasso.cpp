@@ -1,12 +1,14 @@
 #include "solvers/lasso.hpp"
 
+#include <atomic>
 #include <cmath>
-#include <stdexcept>
+#include <tuple>
 
 #include "core/dist_gram.hpp"
 #include "la/blas.hpp"
 #include "la/random.hpp"
 #include "solvers/adagrad.hpp"
+#include "util/contracts.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
 
@@ -29,6 +31,32 @@ Real estimate_gram_norm(const GramOperator& op) {
     for (std::size_t i = 0; i < x.size(); ++i) x[i] = gx[i] / lambda;
   }
   return lambda;
+}
+
+// One proximal-gradient step on x (or a rank's slice of it), shared by the
+// serial and distributed solvers. On entry g holds Gx; it becomes the smooth
+// gradient Gx - Aᵀy + lambda2·x, then x <- soft_threshold(x - r·g, r·lambda)
+// with r the Adagrad rate (accumulated first) or the fixed `rate`. Returns
+// {‖Δx‖², ‖x‖²} for the relative-change stopping rule.
+std::pair<Real, Real> proximal_step(std::span<Real> x, std::span<Real> g,
+                                    std::span<const Real> aty,
+                                    const LassoConfig& config, Real rate,
+                                    Adagrad& adagrad) {
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    g[i] += config.lambda2 * x[i] - aty[i];
+  }
+  if (config.use_adagrad) adagrad.accumulate(g);
+  Real change_sq = 0, x_sq = 0;
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    const Real r =
+        config.use_adagrad ? adagrad.rate(static_cast<Index>(i)) : rate;
+    const Real next = soft_threshold(x[i] - r * g[i], r * config.lambda);
+    const Real d = next - x[i];
+    change_sq += d * d;
+    x[i] = next;
+    x_sq += next * next;
+  }
+  return {change_sq, x_sq};
 }
 
 }  // namespace
@@ -60,9 +88,8 @@ LassoResult lasso_solve(const GramOperator& op, const la::Vector& y,
   const util::SpanTimer span("lasso.solve");
   const util::TraceScope trace(util::TraceRecorder::global(), "lasso.solve");
   const Index n = op.dim();
-  if (static_cast<Index>(y.size()) != op.data_dim()) {
-    throw std::invalid_argument("lasso_solve: y size mismatch");
-  }
+  EXTDICT_REQUIRE_SHAPE(static_cast<Index>(y.size()) == op.data_dim(),
+                        "lasso_solve: y size mismatch");
 
   la::Vector aty(static_cast<std::size_t>(n));
   op.apply_adjoint(y, aty);
@@ -77,34 +104,9 @@ LassoResult lasso_solve(const GramOperator& op, const la::Vector& y,
   Adagrad adagrad(n, rate);
 
   for (int it = 0; it < config.max_iterations; ++it) {
-    // g = G x - Aᵀy (+ lambda2 x for the Elastic-Net/Ridge smooth part).
     op.apply(result.x, g);
-    for (std::size_t i = 0; i < g.size(); ++i) {
-      g[i] += config.lambda2 * result.x[i] - aty[i];
-    }
-
-    Real change_sq = 0, x_sq = 0;
-    if (config.use_adagrad) {
-      adagrad.accumulate(g);
-      for (std::size_t i = 0; i < g.size(); ++i) {
-        const Real r = adagrad.rate(static_cast<Index>(i));
-        const Real next =
-            soft_threshold(result.x[i] - r * g[i], r * config.lambda);
-        const Real d = next - result.x[i];
-        change_sq += d * d;
-        result.x[i] = next;
-        x_sq += next * next;
-      }
-    } else {
-      for (std::size_t i = 0; i < g.size(); ++i) {
-        const Real next =
-            soft_threshold(result.x[i] - rate * g[i], rate * config.lambda);
-        const Real d = next - result.x[i];
-        change_sq += d * d;
-        result.x[i] = next;
-        x_sq += next * next;
-      }
-    }
+    const auto [change_sq, x_sq] =
+        proximal_step(result.x, g, aty, config, rate, adagrad);
     result.iterations = it + 1;
 
     if (config.objective_every > 0 && (it % config.objective_every == 0)) {
@@ -141,61 +143,40 @@ DistLassoResult lasso_solve_distributed(const dist::Cluster& cluster,
                                         const la::Vector& y,
                                         const LassoConfig& config) {
   const util::SpanTimer span("lasso.solve_distributed");
-  const Index m = d.rows();
-  const Index l = d.cols();
-  const Index n = c.cols();
-  if (static_cast<Index>(y.size()) != m) {
-    throw std::invalid_argument("lasso_solve_distributed: y size mismatch");
-  }
+  EXTDICT_REQUIRE_SHAPE(static_cast<Index>(y.size()) == d.rows(),
+                        "lasso_solve_distributed: y size mismatch");
 
   // The step size must be identical on every rank; estimate it once up
   // front with the serial operator (the paper's API measures platform
-  // constants in the same offline spirit).
+  // constants in the same offline spirit). y is lifted once the same way,
+  // w = Dᵀy, so each rank's Aᵀy slice is the local SpMVᵀ C_iᵀw.
   const core::TransformedGramOperator op(d, c);
   const Real rate = config.base_rate > 0
                         ? config.base_rate
                         : 1 / (estimate_gram_norm(op) + config.lambda2);
-
-  const core::ColumnPartition part{n, cluster.topology().total()};
+  la::Vector w(static_cast<std::size_t>(d.cols()));
+  la::gemv_t(1, d, y, 0, w);
 
   DistLassoResult result;
-  result.x.assign(static_cast<std::size_t>(n), Real{0});
+  result.x.assign(static_cast<std::size_t>(c.cols()), Real{0});
   int iterations_shared = 0;
   bool converged_shared = false;
+  std::atomic<std::uint64_t> update_flops{0};
 
-  dist::RunStats stats = cluster.run([&](dist::Communicator& comm) {
+  result.stats = cluster.run([&](dist::Communicator& comm) {
     const util::TraceScope rank_trace(util::TraceRecorder::global(),
                                       "lasso.rank");
-    const Index rank = comm.rank();
-    const Index b = part.begin(rank);
-    const Index e = part.end(rank);
-    const Index local_n = e - b;
+    core::DistGramStep step(comm, d, c);
+    const Index local_n = step.local_n();
+    comm.cost().record_memory(step.resident_words() +
+                              static_cast<std::uint64_t>(local_n) * 3);
 
-    std::uint64_t nnz_local = 0;
-    for (Index j = b; j < e; ++j) nnz_local += static_cast<std::uint64_t>(c.col_nnz(j));
-    comm.cost().record_memory(
-        nnz_local * 3 / 2 + static_cast<std::uint64_t>(local_n) * 3 +
-        (rank == 0 ? static_cast<std::uint64_t>(m) * static_cast<std::uint64_t>(l) +
-                         static_cast<std::uint64_t>(m)
-                   : 0));
-
-    // One-time: aty_local = (Cᵀ Dᵀ y)_local. Rank 0 owns D and y, computes
-    // w = Dᵀ y, and broadcasts the L-vector.
-    la::Vector w(static_cast<std::size_t>(l));
-    if (rank == 0) {
-      la::gemv_t(1, d, y, 0, w);
-      comm.cost().add_flops(la::gemv_flops(m, l));
-    }
-    comm.broadcast(0, std::span<Real>(w));
     la::Vector aty_local(static_cast<std::size_t>(local_n));
-    c.spmv_t_range(b, e, w, aty_local);
-    comm.cost().add_flops(2 * nnz_local);
+    c.spmv_t_range(step.begin(), step.end(), w, aty_local);
+    comm.cost().add_flops(2 * step.local_nnz());
 
     la::Vector x_local(static_cast<std::size_t>(local_n), Real{0});
     la::Vector g_local(static_cast<std::size_t>(local_n));
-    la::Vector v1(static_cast<std::size_t>(l));
-    la::Vector v2(static_cast<std::size_t>(m));
-    la::Vector v3(static_cast<std::size_t>(l));
     Adagrad adagrad(std::max<Index>(local_n, 1), rate);
 
     int it = 0;
@@ -204,48 +185,12 @@ DistLassoResult lasso_solve_distributed(const dist::Cluster& cluster,
       const util::TraceScope iter_trace(util::TraceRecorder::global(),
                                         "lasso.iteration", "iteration",
                                         static_cast<std::uint64_t>(it));
-      // Gram product through Alg. 2 (Case 1 layout: D on rank 0).
-      std::fill(v1.begin(), v1.end(), Real{0});
-      c.spmv_range(b, e, x_local, v1);
-      comm.cost().add_flops(2 * nnz_local);
-      comm.reduce_sum(0, v1);
-      if (rank == 0) {
-        la::gemv(1, d, v1, 0, v2);
-        la::gemv_t(1, d, v2, 0, v3);
-        comm.cost().add_flops(2 * la::gemv_flops(m, l));
-      }
-      comm.broadcast(0, std::span<Real>(v3));
-      c.spmv_t_range(b, e, v3, g_local);
-      comm.cost().add_flops(2 * nnz_local);
-
-      // g = Gx - Aᵀy (+ lambda2 x); proximal Adagrad step on the slice.
-      for (std::size_t i = 0; i < g_local.size(); ++i) {
-        g_local[i] += config.lambda2 * x_local[i] - aty_local[i];
-      }
+      step.apply(x_local, g_local);  // g = Gx through Alg. 2
 
       Real change_sq = 0, x_sq = 0;
       if (local_n > 0) {
-        if (config.use_adagrad) {
-          adagrad.accumulate(g_local);
-          for (std::size_t i = 0; i < g_local.size(); ++i) {
-            const Real r = adagrad.rate(static_cast<Index>(i));
-            const Real next =
-                soft_threshold(x_local[i] - r * g_local[i], r * config.lambda);
-            const Real delta = next - x_local[i];
-            change_sq += delta * delta;
-            x_local[i] = next;
-            x_sq += next * next;
-          }
-        } else {
-          for (std::size_t i = 0; i < g_local.size(); ++i) {
-            const Real next = soft_threshold(x_local[i] - rate * g_local[i],
-                                             rate * config.lambda);
-            const Real delta = next - x_local[i];
-            change_sq += delta * delta;
-            x_local[i] = next;
-            x_sq += next * next;
-          }
-        }
+        std::tie(change_sq, x_sq) =
+            proximal_step(x_local, g_local, aty_local, config, rate, adagrad);
         comm.cost().add_flops(static_cast<std::uint64_t>(local_n) * 6);
       }
 
@@ -259,19 +204,18 @@ DistLassoResult lasso_solve_distributed(const dist::Cluster& cluster,
       }
     }
 
-    std::vector<Index> counts;
-    const la::Vector gathered =
-        comm.gather(0, std::span<const Real>(x_local), &counts);
-    if (rank == 0) {
+    const la::Vector gathered = comm.gather(0, std::span<const Real>(x_local));
+    if (comm.rank() == 0) {
       std::copy(gathered.begin(), gathered.end(), result.x.begin());
       iterations_shared = it;
       converged_shared = converged;
     }
+    update_flops += step.update_flops();
   });
 
-  result.stats = std::move(stats);
   result.iterations = iterations_shared;
   result.converged = converged_shared;
+  result.update_flops = update_flops;
   util::MetricsRegistry::global().add(
       "lasso.iterations", static_cast<std::uint64_t>(result.iterations));
   result.final_objective =

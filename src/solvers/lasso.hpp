@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "core/gram_operator.hpp"
@@ -55,6 +56,9 @@ struct DistLassoResult {
   bool converged = false;
   Real final_objective = 0;
   dist::RunStats stats;
+  /// FLOPs of the Alg. 2 Gram updates alone, summed over ranks and
+  /// iterations (same meaning as core::DistGramResult::update_flops).
+  std::uint64_t update_flops = 0;
 };
 
 [[nodiscard]] DistLassoResult lasso_solve_distributed(

@@ -1,5 +1,6 @@
 #include "solvers/power_method.hpp"
 
+#include <atomic>
 #include <cmath>
 #include <stdexcept>
 
@@ -74,71 +75,29 @@ DistPowerResult power_method_distributed(const dist::Cluster& cluster,
                                          const Matrix& d, const la::CscMatrix& c,
                                          const PowerConfig& config) {
   const util::SpanTimer span("power_method.solve_distributed");
-  if (c.rows() != d.cols()) {
-    throw std::invalid_argument("power_method_distributed: D/C shape mismatch");
-  }
-  const Index m = d.rows();
-  const Index l = d.cols();
-  const Index n = c.cols();
-  const Index k = std::min<Index>(config.num_eigenpairs, n);
-  const bool case2 = l > m;
-  const core::ColumnPartition part{n, cluster.topology().total()};
+  const Index k = std::min<Index>(config.num_eigenpairs, c.cols());
 
   DistPowerResult result;
   std::vector<Real> eigenvalues_shared(static_cast<std::size_t>(k), 0);
   std::vector<int> iterations_shared(static_cast<std::size_t>(k), 0);
+  std::atomic<std::uint64_t> update_flops{0};
 
   result.stats = cluster.run([&](dist::Communicator& comm) {
     const util::TraceScope rank_trace(util::TraceRecorder::global(),
                                       "power_method.rank");
+    core::DistGramStep step(comm, d, c);
     const Index rank = comm.rank();
-    const Index b = part.begin(rank);
-    const Index e = part.end(rank);
-    const Index local_n = e - b;
-
-    std::uint64_t nnz_local = 0;
-    for (Index j = b; j < e; ++j) nnz_local += static_cast<std::uint64_t>(c.col_nnz(j));
-    comm.cost().record_memory(
-        nnz_local * 3 / 2 + static_cast<std::uint64_t>(local_n) * (2 + k) +
-        ((case2 || rank == 0)
-             ? static_cast<std::uint64_t>(m) * static_cast<std::uint64_t>(l)
-             : 0));
+    const Index local_n = step.local_n();
+    comm.cost().record_memory(step.resident_words() +
+                              static_cast<std::uint64_t>(local_n) * (2 + k));
 
     la::Vector x(static_cast<std::size_t>(local_n));
     la::Vector gx(static_cast<std::size_t>(local_n));
-    la::Vector v1(static_cast<std::size_t>(l));
-    la::Vector v2(static_cast<std::size_t>(m));
-    la::Vector v3(static_cast<std::size_t>(l));
     // Converged eigenvector slices, one column per found pair. Eigenvalues
     // are rank-local copies: the all-reduced Rayleigh norms are bitwise
     // identical on every rank, so no extra publication round is needed.
     Matrix basis(std::max<Index>(local_n, 1), k);
     la::Vector eigs_local(static_cast<std::size_t>(k), Real{0});
-
-    // One Gram product through Alg. 2 on the local slice `in` -> `out`.
-    auto gram_apply = [&](const la::Vector& in, la::Vector& out) {
-      std::fill(v1.begin(), v1.end(), Real{0});
-      c.spmv_range(b, e, in, v1);
-      comm.cost().add_flops(2 * nnz_local);
-      if (!case2) {
-        comm.reduce_sum(0, v1);
-        if (rank == 0) {
-          la::gemv(1, d, v1, 0, v2);
-          la::gemv_t(1, d, v2, 0, v3);
-          comm.cost().add_flops(2 * la::gemv_flops(m, l));
-        }
-        comm.broadcast(0, std::span<Real>(v3));
-      } else {
-        la::gemv(1, d, v1, 0, v2);
-        comm.cost().add_flops(la::gemv_flops(m, l));
-        comm.reduce_sum(0, v2);
-        comm.broadcast(0, std::span<Real>(v2));
-        la::gemv_t(1, d, v2, 0, v3);
-        comm.cost().add_flops(la::gemv_flops(m, l));
-      }
-      c.spmv_t_range(b, e, v3, out);
-      comm.cost().add_flops(2 * nnz_local);
-    };
 
     auto global_dot = [&](std::span<const Real> u, std::span<const Real> w) {
       const Real local = la::dot(u, w);
@@ -172,7 +131,7 @@ DistPowerResult power_method_distributed(const dist::Cluster& cluster,
                                           "power_method.iteration",
                                           "iteration",
                                           static_cast<std::uint64_t>(it));
-        gram_apply(x, gx);
+        step.apply(x, gx);  // Gx through Alg. 2
         // Deflation on distributed slices: gx -= λ_p v_p (v_pᵀ x).
         for (Index p = 0; p < pair; ++p) {
           auto vp = std::span<const Real>(basis.col(p)).first(
@@ -202,10 +161,12 @@ DistPowerResult power_method_distributed(const dist::Cluster& cluster,
     if (rank == 0) {
       std::copy(eigs_local.begin(), eigs_local.end(), eigenvalues_shared.begin());
     }
+    update_flops += step.update_flops();
   });
 
   result.eigenvalues = std::move(eigenvalues_shared);
   result.iterations = std::move(iterations_shared);
+  result.update_flops = update_flops;
   return result;
 }
 

@@ -49,6 +49,9 @@ struct DistPowerResult {
   std::vector<Real> eigenvalues;
   std::vector<int> iterations;
   dist::RunStats stats;
+  /// FLOPs of the Alg. 2 Gram updates alone, summed over ranks and
+  /// iterations (same meaning as core::DistGramResult::update_flops).
+  std::uint64_t update_flops = 0;
 
   [[nodiscard]] int total_iterations() const noexcept {
     int total = 0;

@@ -9,6 +9,8 @@
 #include "data/subspace.hpp"
 #include "la/blas.hpp"
 #include "la/random.hpp"
+#include "solvers/lasso.hpp"
+#include "solvers/power_method.hpp"
 
 namespace extdict::core {
 namespace {
@@ -268,6 +270,42 @@ TEST(DistGram, AutoPrefersPartitionedOverRootOnManyRanks) {
                                     p.exd.coefficients, x0, 1,
                                     GramStrategy::kPartitionedDictionary);
   EXPECT_LT(part.stats.max_rank_flops(), root.stats.max_rank_flops());
+}
+
+TEST(DistGram, SolversMeterTheSameStepAsDistGramApply) {
+  // LASSO, PCA and dist_gram_apply run one DistGramStep under kAuto, so
+  // their per-iteration update FLOPs agree exactly, on either side of the
+  // L = M dispatch boundary (partitioned-D below, replicated-D above).
+  const dist::Cluster cluster(dist::Topology{1, 4});
+  for (const Index l : {Index{30}, Index{60}}) {  // M = 36
+    const Problem p = make_problem(l);
+    const Matrix& d = p.exd.dictionary;
+    const CscMatrix& c = p.exd.coefficients;
+
+    solvers::LassoConfig lasso;
+    lasso.lambda = 1e-3;
+    lasso.max_iterations = 7;
+    lasso.tolerance = 0;  // fixed iteration count
+    lasso.objective_every = 0;
+    const la::Vector y(p.a.col(0).begin(), p.a.col(0).end());
+    const auto lasso_run = solvers::lasso_solve_distributed(cluster, d, c, y, lasso);
+
+    solvers::PowerConfig pca;
+    pca.num_eigenpairs = 2;
+    pca.max_iterations = 5;
+    pca.tolerance = 0;
+    const auto pca_run = solvers::power_method_distributed(cluster, d, c, pca);
+
+    const la::Vector x0(180, 1.0);
+    const std::uint64_t per_iteration =
+        dist_gram_apply(cluster, d, c, x0, 3).update_flops_per_iteration();
+
+    ASSERT_EQ(lasso_run.iterations, 7) << "L=" << l;
+    ASSERT_EQ(pca_run.total_iterations(), 10) << "L=" << l;
+    EXPECT_GT(per_iteration, 0u);
+    EXPECT_EQ(lasso_run.update_flops, 7 * per_iteration) << "L=" << l;
+    EXPECT_EQ(pca_run.update_flops, 10 * per_iteration) << "L=" << l;
+  }
 }
 
 }  // namespace

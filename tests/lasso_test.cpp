@@ -170,9 +170,20 @@ TEST(Lasso, SizeMismatchThrows) {
   EXPECT_THROW(lasso_solve(op, bad, {}), std::invalid_argument);
 }
 
+TEST(Lasso, DistributedSizeMismatchThrows) {
+  const LassoProblem p = make_problem(20, 50, 3, 134);
+  const la::CscMatrix bad_c(p.a.cols() + 1, 10);  // C rows != D cols
+  const dist::Cluster cluster(dist::Topology{1, 2});
+  EXPECT_THROW((void)lasso_solve_distributed(cluster, p.a, bad_c, p.y, {}),
+               std::invalid_argument);
+}
+
 class DistLassoTest : public ::testing::TestWithParam<dist::Topology> {};
 
-TEST_P(DistLassoTest, MatchesSerialSolver) {
+// The distributed solver against the serial one on a 30 x 100 problem
+// transformed at `atoms` = L: L <= M runs the partitioned-D Gram step,
+// L > M the replicated-D one.
+void expect_matches_serial(la::Index atoms, const dist::Topology& topology) {
   data::SubspaceModelConfig dc;
   dc.ambient_dim = 30;
   dc.num_columns = 100;
@@ -185,7 +196,7 @@ TEST_P(DistLassoTest, MatchesSerialSolver) {
   rng.fill_gaussian(y);
 
   core::ExdConfig exd_config;
-  exd_config.dictionary_size = 25;  // Case 1 layout
+  exd_config.dictionary_size = atoms;
   exd_config.tolerance = 0.05;
   const core::ExdResult exd = core::exd_transform(a, exd_config);
 
@@ -197,16 +208,24 @@ TEST_P(DistLassoTest, MatchesSerialSolver) {
 
   TransformedGramOperator op(exd.dictionary, exd.coefficients);
   const LassoResult serial = lasso_solve(op, y, config);
-  const dist::Cluster cluster(GetParam());
+  const dist::Cluster cluster(topology);
   const DistLassoResult distributed =
       lasso_solve_distributed(cluster, exd.dictionary, exd.coefficients, y, config);
 
   EXPECT_EQ(distributed.iterations, serial.iterations);
   for (std::size_t i = 0; i < serial.x.size(); ++i) {
-    EXPECT_NEAR(distributed.x[i], serial.x[i], 1e-7) << GetParam().name();
+    EXPECT_NEAR(distributed.x[i], serial.x[i], 1e-7) << topology.name();
   }
   EXPECT_NEAR(distributed.final_objective, serial.final_objective, 1e-7);
   EXPECT_GT(distributed.stats.total_flops(), 0u);
+}
+
+TEST_P(DistLassoTest, MatchesSerialSolver) {
+  expect_matches_serial(25, GetParam());  // L <= M
+}
+
+TEST_P(DistLassoTest, MatchesSerialSolverWhenLExceedsM) {
+  expect_matches_serial(45, GetParam());  // L > M
 }
 
 INSTANTIATE_TEST_SUITE_P(Topologies, DistLassoTest,

@@ -705,7 +705,22 @@ def check_semantics_serve(doc, errors):
 
 
 def check_semantics_solvers(doc, errors):
-    """The Batch-OMP FLOP meter and its closed form must agree exactly."""
+    """The distributed solvers' update-FLOP meters and the Batch-OMP meter
+    must each agree exactly with their closed form."""
+    for solver in ("lasso_distributed", "power_method_distributed"):
+        found = [c for c in doc.get("cases", []) if c.get("solver") == solver]
+        if not found:
+            errors.append(f"no {solver} case: its metered-vs-model update "
+                          "FLOP check did not run")
+        for i, case in enumerate(found):
+            check = case.get("model_check", {})
+            if not check.get("flops_match_exact", False):
+                errors.append(f"{solver}[{i}]: flops_match_exact is false — "
+                              "metered update FLOPs diverged from Eq. (2)")
+            elif (check.get("update_flops_per_iteration")
+                  != check.get("model_flops_per_iteration")):
+                errors.append(f"{solver}[{i}]: update_flops_per_iteration != "
+                              "model_flops_per_iteration")
     omp_cases = [c for c in doc.get("cases", [])
                  if c.get("solver") == "batch_omp_flop_model"]
     if not omp_cases:
