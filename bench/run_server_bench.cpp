@@ -1,64 +1,52 @@
-// Serving-layer load bench: drives ExtDictServer with deterministic closed-
-// and open-loop request streams across a batch × queue × worker sweep and
-// writes the results as schema-stable JSON.
+// Serving-layer timing duels: three interleaved A/B comparisons on the
+// in-process ExtDictServer, written as schema-stable JSON.
 //
 //   run_server_bench [--quick] [--out DIR] [--trace FILE]
 //
 // Emits BENCH_serve.json (validated by tools/validate_bench_json.py, run in
-// CI's bench-smoke job): one case per configuration with the server's own
-// accounting plus client-observed throughput and latency percentiles, and a
-// summary asserting the serving contract. The process exits non-zero if
+// CI's bench-smoke job). Each duel alternates its two sides every round, so
+// a round's pair shares whatever the machine was doing at the time, and its
+// verdict is the MEDIAN of the per-round ratios: robust even when absolute
+// throughput swings 2x between rounds on a busy single-core box, where
+// best-of-N would let one lucky scheduler quantum flip the verdict. The
+// process exits non-zero if a duel misses its floor:
 //
-//   * any future fails to resolve within the watchdog window (a lost
-//     request — the serving layer's cardinal sin),
-//   * the accounting identities do not balance for any case,
-//   * the closed-loop max_batch >= 32 configuration does not beat the
-//     batch-size-1 configuration on throughput (the micro-batching
-//     amortization claim, checked in quick mode too),
-//   * the loopback-socket wire sweep (the "wire" section: the same workload
-//     through a net::Daemon, reported side by side with an in-process
-//     baseline) loses a reply or unbalances the daemon's wire-side books —
-//     there is deliberately no pass/fail on the wire's throughput cost,
-//   * the content-addressed cache sweep's warm pass fails to beat the cold
-//     pass, its hit accounting is not exact, or the serve-while-extending
-//     pass loses a future / unbalances the books / fails to flip and
-//     reclaim epochs (emitted as a second document, BENCH_cache.json),
-//   * the live-telemetry pass (emitted as a third document,
-//     BENCH_telemetry.json) records fewer than 20 snapshots, any snapshot's
-//     gauge levels fail to reconcile with the monotone counter identities,
-//     the mid-run epoch flip is not visible as a serve.registry.epoch gauge
-//     step, or the snapshotter's overhead exceeds the bench noise floor.
+//   * batch — closed loop, one worker, max_batch 32 against max_batch 1;
+//     ratio = batch-32 throughput / batch-1 throughput, must be > 1.0 (the
+//     micro-batching amortization claim);
+//   * cache — a serial submit -> wait loop over a 32-signal pool with the
+//     encode cache on (warm) against the identical stream with it off
+//     (cold); ratio = cold wall / warm wall, must be > 1.0;
+//   * snapshotter — a closed-loop pass shadowed by a 50 ms
+//     TelemetrySnapshotter against the same pass without one; ratio = with /
+//     without wall, must be <= 1.15, the bench's documented noise allowance.
 //
-// Load generation is seeded: the signal pool and the open-loop exponential
-// interarrival schedule come from fixed-seed generators, so two runs offer
-// the identical request sequence (wall-clock results still vary with the
-// machine, like every other bench here).
+// The accounting identities (lost futures, exact cache hits, epoch flips,
+// snapshot reconciliation, wire books) are pinned by the gtest suite, not
+// here: ServeStress.*, ServerCache.*, TelemetrySnapshotter.* and NetStress.*.
 //
-// --trace FILE records the serve.batch.* timeline of the flagship batched
-// case — including the per-request serve.request.* lifecycle instants that
-// tools/analyze_trace.py stitches into request waterfalls — and exports
-// Chrome trace JSON.
+// Load generation is seeded: the dictionary and the signal pool come from
+// fixed-seed generators, so two runs offer the identical request sequence
+// (wall-clock results still vary with the machine).
+//
+// --trace FILE runs one more batch-32 pass with tracing on, after the duels
+// so trace overhead never touches a timed pass, and exports its
+// serve.batch.* timeline — including the per-request serve.request.*
+// lifecycle instants that tools/analyze_trace.py stitches into request
+// waterfalls — as Chrome trace JSON. A dropped trace event fails the run.
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <future>
-#include <latch>
-#include <map>
-#include <memory>
-#include <random>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "la/random.hpp"
-#include "net/client.hpp"
-#include "net/daemon.hpp"
 #include "serve/server.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
@@ -70,14 +58,13 @@ namespace {
 using namespace extdict;
 using la::Index;
 using la::Real;
-using serve::BackpressurePolicy;
-using serve::EncodeResult;
 using serve::ExtDictServer;
 using serve::ServerConfig;
-using serve::ServerStats;
+using sparsecoding::OmpConfig;
 using util::Json;
 
 using Clock = std::chrono::steady_clock;
+using Pool = std::vector<std::vector<Real>>;
 
 struct Options {
   bool quick = false;
@@ -85,81 +72,28 @@ struct Options {
   std::string trace_path;  // empty: tracing off
 };
 
-// One sweep point. `offered_rps == 0` means closed loop: submit every
-// request back to back and let backpressure pace the client. Open-loop
-// cases submit on a pre-drawn exponential-interarrival schedule.
-struct CaseSpec {
-  std::string name;
-  Index max_batch = 1;
-  std::uint64_t max_delay_us = 200;
-  int workers = 1;
-  std::size_t queue_capacity = 256;
-  BackpressurePolicy policy = BackpressurePolicy::kBlock;
-  int requests = 0;
-  double offered_rps = 0;
-  bool traced = false;  // flagship case: records the serve.batch.* timeline
-  // The amortization pair runs N passes and compares MEDIAN throughput: on
-  // loaded single-core CI boxes a single closed-loop pass is too noisy to
-  // anchor a pass/fail comparison, and best-of-N lets one lucky scheduler
-  // quantum flip the verdict.
-  int repeats = 1;
-};
-
-const char* policy_name(BackpressurePolicy p) {
-  switch (p) {
-    case BackpressurePolicy::kBlock: return "block";
-    case BackpressurePolicy::kReject: return "reject";
-    case BackpressurePolicy::kShedOldest: return "shed_oldest";
-  }
-  return "?";
+double seconds_since(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-// Client-observed outcome of one case: every future resolved, bucketed by
-// how. `lost` counts futures that never resolved — always fatal.
-struct CaseResult {
-  std::uint64_t served = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t stopped = 0;
-  std::uint64_t invalid = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t lost = 0;
-  double wall_seconds = 0;
-  util::Histogram total_latency;  // queue wait + encode window, per request
-  util::Histogram queue_latency;
-  ServerStats stats;
-};
-
-void resolve_future(std::future<EncodeResult>& future, CaseResult& result) {
+// Waits (bounded, so a lost request cannot hang the bench) and reports
+// whether the request was served.
+bool resolved(std::future<serve::EncodeResult>& future) {
   using namespace std::chrono_literals;
-  if (future.wait_for(30s) != std::future_status::ready) {
-    ++result.lost;
-    return;
-  }
+  if (future.wait_for(30s) != std::future_status::ready) return false;
   try {
-    const EncodeResult encoded = future.get();
-    ++result.served;
-    result.queue_latency.record(encoded.queue_seconds);
-    result.total_latency.record(encoded.queue_seconds + encoded.encode_seconds);
-  } catch (const serve::RequestRejected&) {
-    ++result.rejected;
-  } catch (const serve::RequestShed&) {
-    ++result.shed;
-  } catch (const serve::ServerStopped&) {
-    ++result.stopped;
-  } catch (const serve::InvalidRequest&) {
-    ++result.invalid;
+    (void)future.get();
+    return true;
   } catch (...) {
-    ++result.failed;
+    return false;
   }
 }
 
 // Deterministic pool of unit-scale gaussian signals; request i submits
-// pool[i % pool_size], so every configuration sees the same stream.
-std::vector<std::vector<Real>> make_signal_pool(Index m, int pool_size,
-                                                unsigned seed) {
+// pool[i % pool_size], so every pass sees the same stream.
+Pool make_signal_pool(Index m, int pool_size, unsigned seed) {
   la::Rng rng(seed);
-  std::vector<std::vector<Real>> pool(static_cast<std::size_t>(pool_size));
+  Pool pool(static_cast<std::size_t>(pool_size));
   for (auto& signal : pool) {
     signal.resize(static_cast<std::size_t>(m));
     rng.fill_gaussian(signal);
@@ -167,460 +101,41 @@ std::vector<std::vector<Real>> make_signal_pool(Index m, int pool_size,
   return pool;
 }
 
-// Fills `result` in place (CaseResult is pinned: util::Histogram cells are
-// neither copyable nor movable).
-void run_case(const CaseSpec& spec, const la::Matrix& dict,
-              const std::vector<std::vector<Real>>& pool,
-              const sparsecoding::OmpConfig& omp, CaseResult& result) {
-  ExtDictServer server(dict, {.max_batch = spec.max_batch,
-                              .max_delay_us = spec.max_delay_us,
-                              .workers = spec.workers,
-                              .queue_capacity = spec.queue_capacity,
-                              .backpressure = spec.policy,
-                              .omp = omp});
+// Closed loop: submit every request back to back, letting backpressure pace
+// the client, then resolve them all.
+struct Pass {
+  double seconds = 0;
+  int served = 0;
+};
 
-  // Open-loop arrival schedule, drawn up front from a fixed seed.
-  std::vector<double> arrival_s;
-  if (spec.offered_rps > 0) {
-    std::mt19937_64 gen(0x5eedULL + static_cast<std::uint64_t>(spec.requests));
-    std::exponential_distribution<double> interarrival(spec.offered_rps);
-    arrival_s.reserve(static_cast<std::size_t>(spec.requests));
-    double t = 0;
-    for (int i = 0; i < spec.requests; ++i) {
-      t += interarrival(gen);
-      arrival_s.push_back(t);
-    }
-  }
-
-  std::vector<std::future<EncodeResult>> futures;
-  futures.reserve(static_cast<std::size_t>(spec.requests));
-
+Pass closed_loop(ExtDictServer& server, const Pool& pool, int requests) {
+  std::vector<std::future<serve::EncodeResult>> futures;
+  futures.reserve(static_cast<std::size_t>(requests));
   const Clock::time_point start = Clock::now();
-  for (int i = 0; i < spec.requests; ++i) {
-    if (spec.offered_rps > 0) {
-      std::this_thread::sleep_until(
-          start + std::chrono::duration_cast<Clock::duration>(
-                      std::chrono::duration<double>(
-                          arrival_s[static_cast<std::size_t>(i)])));
-    }
+  for (int i = 0; i < requests; ++i) {
     futures.push_back(
         server.submit(pool[static_cast<std::size_t>(i) % pool.size()]));
   }
-  for (auto& future : futures) resolve_future(future, result);
-  result.wall_seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  server.stop();
-  result.stats = server.stats();
+  Pass pass;
+  for (auto& future : futures) pass.served += resolved(future) ? 1 : 0;
+  pass.seconds = seconds_since(start);
+  return pass;
 }
 
-bool accounting_balances(const CaseSpec& spec, const CaseResult& r) {
-  const ServerStats& s = r.stats;
-  const auto client_total = r.served + r.rejected + r.shed + r.stopped +
-                            r.invalid + r.failed + r.lost;
-  // Cache hits resolve before the queue, so they are their own branch of
-  // the submit identity; the client cannot tell a hit from a serve, hence
-  // served + cache_hits on the client side.
-  return r.lost == 0 &&
-         client_total == static_cast<std::uint64_t>(spec.requests) &&
-         s.submitted == static_cast<std::uint64_t>(spec.requests) &&
-         s.submitted ==
-             s.accepted + s.invalid + s.rejected + s.stopped + s.cache_hits &&
-         s.accepted == s.served + s.encode_failed + s.shed + s.discarded &&
-         s.columns_encoded == s.served + s.encode_failed &&
-         s.served + s.cache_hits == r.served && s.rejected == r.rejected &&
-         s.shed == r.shed;
-}
-
-Json latency_json(const util::Histogram& h) {
-  Json j = Json::object();
-  j["count"] = h.count();
-  j["mean_seconds"] =
-      h.count() == 0 ? 0.0 : h.sum() / static_cast<double>(h.count());
-  j["p50_seconds"] = h.quantile(0.50);
-  j["p90_seconds"] = h.quantile(0.90);
-  j["p95_seconds"] = h.quantile(0.95);
-  j["p99_seconds"] = h.quantile(0.99);
-  j["max_seconds"] = h.max();
-  return j;
-}
-
-Json case_json(const CaseSpec& spec, const CaseResult& r) {
-  Json j = Json::object();
-  j["name"] = spec.name;
-  j["loop"] = spec.offered_rps > 0 ? "open" : "closed";
-  j["policy"] = policy_name(spec.policy);
-  j["max_batch"] = static_cast<std::uint64_t>(spec.max_batch);
-  j["max_delay_us"] = spec.max_delay_us;
-  j["workers"] = static_cast<std::uint64_t>(spec.workers);
-  j["queue_capacity"] = static_cast<std::uint64_t>(spec.queue_capacity);
-  j["requests"] = static_cast<std::uint64_t>(spec.requests);
-  if (spec.offered_rps > 0) j["offered_rps"] = spec.offered_rps;
-  j["wall_seconds"] = r.wall_seconds;
-  j["throughput_rps"] =
-      r.wall_seconds > 0 ? static_cast<double>(r.served) / r.wall_seconds : 0.0;
-
-  Json counts = Json::object();
-  const ServerStats& s = r.stats;
-  counts["submitted"] = s.submitted;
-  counts["accepted"] = s.accepted;
-  counts["served"] = s.served;
-  counts["rejected"] = s.rejected;
-  counts["shed"] = s.shed;
-  counts["stopped"] = s.stopped;
-  counts["discarded"] = s.discarded;
-  counts["invalid"] = s.invalid;
-  counts["encode_failed"] = s.encode_failed;
-  counts["lost"] = r.lost;
-  counts["batches"] = s.batches;
-  counts["columns_encoded"] = s.columns_encoded;
-  counts["max_batch_columns"] = s.max_batch_columns;
-  j["counts"] = std::move(counts);
-
-  j["latency"] = latency_json(r.total_latency);
-  j["queue_wait"] = latency_json(r.queue_latency);
-  return j;
-}
-
-std::vector<CaseSpec> build_sweep(bool quick) {
-  const int closed_n = quick ? 1000 : 8000;
-  const int pair_n = quick ? 2000 : 8000;
-  const int open_n = quick ? 400 : 4000;
-  const double open_rate = quick ? 4000.0 : 8000.0;
-
-  std::vector<CaseSpec> sweep;
-  // The amortization pair: identical load, batch 1 vs 32, one worker each.
-  sweep.push_back({.name = "closed_batch1_w1",
-                   .max_batch = 1,
-                   .workers = 1,
-                   .requests = pair_n,
-                   .repeats = 7});
-  sweep.push_back({.name = "closed_batch32_w1",
-                   .max_batch = 32,
-                   .workers = 1,
-                   .requests = pair_n,
-                   .traced = true,
-                   .repeats = 7});
-  sweep.push_back({.name = "closed_batch32_w2",
-                   .max_batch = 32,
-                   .workers = 2,
-                   .requests = closed_n});
-  // Backpressure under a tiny queue: reject and shed must stay accounted.
-  sweep.push_back({.name = "open_reject_q8",
-                   .max_batch = 8,
-                   .workers = 1,
-                   .queue_capacity = 8,
-                   .policy = BackpressurePolicy::kReject,
-                   .requests = open_n,
-                   .offered_rps = open_rate});
-  sweep.push_back({.name = "open_shed_q8",
-                   .max_batch = 8,
-                   .workers = 1,
-                   .queue_capacity = 8,
-                   .policy = BackpressurePolicy::kShedOldest,
-                   .requests = open_n,
-                   .offered_rps = open_rate});
-  sweep.push_back({.name = "open_block_q64",
-                   .max_batch = 16,
-                   .workers = 2,
-                   .queue_capacity = 64,
-                   .requests = open_n,
-                   .offered_rps = open_rate});
-  if (!quick) {
-    for (const Index batch : {Index{8}, Index{64}}) {
-      for (const int workers : {2, 4}) {
-        sweep.push_back(
-            {.name = "closed_batch" + std::to_string(batch) + "_w" +
-                     std::to_string(workers),
-             .max_batch = batch,
-             .workers = workers,
-             .requests = closed_n});
-      }
-    }
-  }
-  return sweep;
-}
-
-// -- Network wire sweep (BENCH_serve.json "wire" section) --------------------
-// In-process vs loopback-socket serving, side by side: the same closed-loop
-// workload is driven once through ExtDictServer::submit futures and once
-// through net::Client round trips against a net::Daemon on 127.0.0.1. Both
-// sides use the synchronous submit-then-wait shape a remote client presents,
-// so the delta is the wire: framing, two socket hops, and the daemon's
-// reply-writer thread. There is no pass/fail on the throughput ratio (the
-// wire is allowed to cost); the contract is zero lost replies and exact
-// daemon-side accounting.
-
-struct WirePassResult {
-  double wall_seconds = 0;
-  std::uint64_t ok = 0;
-  std::uint64_t error_status = 0;
-  std::uint64_t transport = 0;
-  ServerStats stats;
-  net::DaemonStats daemon;  // zeros for the in-process side
-};
-
-ServerConfig wire_server_config(const sparsecoding::OmpConfig& omp) {
-  return {.max_batch = 32,
+ServerConfig batch_config(Index max_batch, const OmpConfig& omp) {
+  return {.max_batch = max_batch,
           .max_delay_us = 200,
-          .workers = 2,
+          .workers = 1,
           .queue_capacity = 256,
           .omp = omp};
 }
 
-// T threads of serial submit -> wait round trips against an in-process
-// server: the fair baseline for the wire pass below. Latencies land in
-// per-thread buffers and merge after the join (util::Histogram cells are
-// single-writer).
-void run_wire_inprocess_pass(const la::Matrix& dict,
-                             const sparsecoding::OmpConfig& omp,
-                             const std::vector<std::vector<Real>>& pool,
-                             int threads, int per_thread, WirePassResult& out,
-                             util::Histogram& latency) {
-  using namespace std::chrono_literals;
-  ExtDictServer server(dict, wire_server_config(omp));
-  std::atomic<std::uint64_t> ok{0}, error_status{0}, lost{0};
-  std::vector<std::vector<double>> lat(static_cast<std::size_t>(threads));
-  std::latch start(static_cast<std::ptrdiff_t>(threads) + 1);
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      auto& samples = lat[static_cast<std::size_t>(t)];
-      samples.reserve(static_cast<std::size_t>(per_thread));
-      start.arrive_and_wait();
-      for (int i = 0; i < per_thread; ++i) {
-        const Clock::time_point t0 = Clock::now();
-        auto future = server.submit(
-            pool[static_cast<std::size_t>(t * 131 + i) % pool.size()]);
-        if (future.wait_for(30s) != std::future_status::ready) {
-          lost.fetch_add(1);
-          continue;
-        }
-        try {
-          (void)future.get();
-          ok.fetch_add(1);
-        } catch (...) {
-          error_status.fetch_add(1);
-        }
-        samples.push_back(
-            std::chrono::duration<double>(Clock::now() - t0).count());
-      }
-    });
-  }
-  start.arrive_and_wait();
-  const Clock::time_point begin = Clock::now();
-  for (auto& w : workers) w.join();
-  out.wall_seconds = std::chrono::duration<double>(Clock::now() - begin).count();
-  server.stop();
-  out.ok = ok.load();
-  out.error_status = error_status.load();
-  out.transport = lost.load();  // a lost future is the in-process "transport"
-  out.stats = server.stats();
-  for (const auto& samples : lat) {
-    for (const double s : samples) latency.record(s);
-  }
-}
-
-// The same closed loop through a net::Daemon on loopback, one net::Client
-// per thread (the client is deliberately not thread-safe). Latency here is
-// the full wire round trip: encode request, two socket hops, decode reply.
-void run_wire_socket_pass(const la::Matrix& dict,
-                          const sparsecoding::OmpConfig& omp,
-                          const std::vector<std::vector<Real>>& pool,
-                          int threads, int per_thread, WirePassResult& out,
-                          util::Histogram& latency) {
-  net::Daemon daemon(
-      std::make_shared<ExtDictServer>(dict, wire_server_config(omp)));
-  const std::uint16_t port = daemon.port();
-  std::atomic<std::uint64_t> ok{0}, error_status{0}, transport{0};
-  std::vector<std::vector<double>> lat(static_cast<std::size_t>(threads));
-  std::latch start(static_cast<std::ptrdiff_t>(threads) + 1);
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t, port] {
-      auto& samples = lat[static_cast<std::size_t>(t)];
-      samples.reserve(static_cast<std::size_t>(per_thread));
-      start.arrive_and_wait();
-      try {
-        net::Client client("127.0.0.1", port);
-        for (int i = 0; i < per_thread; ++i) {
-          const Clock::time_point t0 = Clock::now();
-          const net::RemoteResult result = client.try_encode(
-              pool[static_cast<std::size_t>(t * 131 + i) % pool.size()]);
-          if (result.ok()) {
-            ok.fetch_add(1);
-          } else {
-            error_status.fetch_add(1);
-          }
-          samples.push_back(
-              std::chrono::duration<double>(Clock::now() - t0).count());
-        }
-      } catch (const net::NetError&) {
-        transport.fetch_add(1);
-      }
-    });
-  }
-  start.arrive_and_wait();
-  const Clock::time_point begin = Clock::now();
-  for (auto& w : workers) w.join();
-  out.wall_seconds = std::chrono::duration<double>(Clock::now() - begin).count();
-  daemon.stop(serve::StopMode::kDrain);
-  out.ok = ok.load();
-  out.error_status = error_status.load();
-  out.transport = transport.load();
-  out.stats = daemon.server()->stats();
-  out.daemon = daemon.stats();
-  for (const auto& samples : lat) {
-    for (const double s : samples) latency.record(s);
-  }
-}
-
-Json wire_pass_json(const WirePassResult& r, const util::Histogram& latency) {
-  Json j = Json::object();
-  j["wall_seconds"] = r.wall_seconds;
-  j["throughput_rps"] =
-      r.wall_seconds > 0 ? static_cast<double>(r.ok) / r.wall_seconds : 0.0;
-  j["served"] = r.ok;
-  j["error_status"] = r.error_status;
-  j["transport_errors"] = r.transport;
-  j["latency"] = latency_json(latency);
-  return j;
-}
-
-Json run_wire_sweep(const la::Matrix& dict, const sparsecoding::OmpConfig& omp,
-                    const std::vector<std::vector<Real>>& pool, bool quick,
-                    bool& violated) {
-  const int threads = 4;
-  const int per_thread = quick ? 250 : 1000;
-  const int rounds = quick ? 1 : 3;
-  const auto total =
-      static_cast<std::uint64_t>(threads) * static_cast<std::uint64_t>(per_thread);
-
-  // Interleaved rounds share transient machine state between the two sides;
-  // report the fastest pass per side (no ratio verdict, so no median needed).
-  std::vector<std::unique_ptr<WirePassResult>> inproc_passes, socket_passes;
-  util::Histogram inproc_latency, socket_latency;
-  for (int r = 0; r < rounds; ++r) {
-    inproc_passes.push_back(std::make_unique<WirePassResult>());
-    run_wire_inprocess_pass(dict, omp, pool, threads, per_thread,
-                            *inproc_passes.back(), inproc_latency);
-    socket_passes.push_back(std::make_unique<WirePassResult>());
-    run_wire_socket_pass(dict, omp, pool, threads, per_thread,
-                         *socket_passes.back(), socket_latency);
-  }
-
-  bool ok = true;
-  for (const auto& p : inproc_passes) {
-    const ServerStats& s = p->stats;
-    ok = ok && p->ok == total && p->error_status == 0 && p->transport == 0 &&
-         s.submitted == total &&
-         s.submitted ==
-             s.accepted + s.invalid + s.rejected + s.stopped + s.cache_hits &&
-         s.accepted == s.served + s.encode_failed + s.shed + s.discarded;
-  }
-  for (const auto& p : socket_passes) {
-    const ServerStats& s = p->stats;
-    const net::DaemonStats& d = p->daemon;
-    // The daemon-side zero-loss identities, exact: every frame is either
-    // refused at the wire boundary or submitted, and every received frame
-    // gets exactly one reply attempt.
-    ok = ok && p->ok == total && p->error_status == 0 && p->transport == 0 &&
-         d.frames_received == total &&
-         d.frames_received == d.invalid_payloads + d.submitted &&
-         d.replies_sent + d.reply_write_failures == d.frames_received &&
-         d.reply_write_failures == 0 && d.malformed_closes == 0 &&
-         d.submitted == s.submitted &&
-         s.submitted ==
-             s.accepted + s.invalid + s.rejected + s.stopped + s.cache_hits &&
-         s.accepted == s.served + s.encode_failed + s.shed + s.discarded;
-  }
-  violated = violated || !ok;
-
-  const auto fastest = [](const auto& passes) -> const WirePassResult& {
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < passes.size(); ++i) {
-      if (passes[i]->wall_seconds < passes[best]->wall_seconds) best = i;
-    }
-    return *passes[best];
-  };
-  const WirePassResult& inproc = fastest(inproc_passes);
-  const WirePassResult& socket = fastest(socket_passes);
-  const double inproc_rps =
-      inproc.wall_seconds > 0
-          ? static_cast<double>(inproc.ok) / inproc.wall_seconds
-          : 0.0;
-  const double socket_rps =
-      socket.wall_seconds > 0
-          ? static_cast<double>(socket.ok) / socket.wall_seconds
-          : 0.0;
-
-  Json j = Json::object();
-  j["threads"] = static_cast<std::uint64_t>(threads);
-  j["requests_per_thread"] = static_cast<std::uint64_t>(per_thread);
-  j["requests"] = total;
-  j["rounds"] = static_cast<std::uint64_t>(rounds);
-  j["max_batch"] = static_cast<std::uint64_t>(32);
-  j["workers"] = static_cast<std::uint64_t>(2);
-  j["queue_capacity"] = static_cast<std::uint64_t>(256);
-  j["policy"] = "block";
-  j["in_process"] = wire_pass_json(inproc, inproc_latency);
-  j["wire"] = wire_pass_json(socket, socket_latency);
-  {
-    Json counts = Json::object();
-    const net::DaemonStats& d = socket.daemon;
-    counts["connections_accepted"] = d.connections_accepted;
-    counts["connections_refused"] = d.connections_refused;
-    counts["frames_received"] = d.frames_received;
-    counts["malformed_closes"] = d.malformed_closes;
-    counts["invalid_payloads"] = d.invalid_payloads;
-    counts["submitted"] = d.submitted;
-    counts["replies_sent"] = d.replies_sent;
-    counts["reply_write_failures"] = d.reply_write_failures;
-    counts["bytes_rx"] = d.bytes_rx;
-    counts["bytes_tx"] = d.bytes_tx;
-    j["daemon_counts"] = std::move(counts);
-  }
-  j["wire_throughput_fraction"] =
-      inproc_rps > 0 ? socket_rps / inproc_rps : 0.0;
-  j["wire_p99_overhead_seconds"] =
-      socket_latency.quantile(0.99) - inproc_latency.quantile(0.99);
-  j["zero_lost"] = ok;
-  j["accounting_balanced"] = ok;
-  j["contract_held"] = ok;
-
-  std::printf(
-      "  wire sweep: in-process %.0f rps (p99 %.1f us) vs loopback %.0f rps "
-      "(p99 %.1f us), %.0f%% of in-process%s\n",
-      inproc_rps, inproc_latency.quantile(0.99) * 1e6, socket_rps,
-      socket_latency.quantile(0.99) * 1e6,
-      inproc_rps > 0 ? 100.0 * socket_rps / inproc_rps : 0.0,
-      ok ? "" : "  [VIOLATION]");
-  return j;
-}
-
-// -- Content-addressed cache sweep + serve-while-extending pass --------------
-// (BENCH_cache.json)
-
-struct CachePassResult {
-  double wall_seconds = 0;
-  std::uint64_t served = 0;
-  std::uint64_t errors = 0;
-  std::uint64_t lost = 0;
-  serve::EncodeCacheStats cache;
-  ServerStats stats;
-};
-
-// Serial closed loop: submit → wait → submit. Serialized round trips make
-// the hit accounting EXACT: a repeated signal can only miss if its first
-// occurrence has not been inserted yet, which waiting rules out — so a
-// warm pass over a pool of P signals and R requests must score exactly
-// R - P hits. The cold pass runs the identical stream with the cache off.
-void run_cache_pass(const la::Matrix& dict, const sparsecoding::OmpConfig& omp,
-                    const std::vector<std::vector<Real>>& pool, int requests,
-                    std::size_t cache_capacity, CachePassResult& out,
-                    util::Histogram& latency) {
-  using namespace std::chrono_literals;
+// Serial closed loop, submit -> wait -> submit: a repeated signal can only
+// hit once its first occurrence is cached, so the warm side scores every
+// repeat. Returns the pass wall seconds.
+double serial_pass_seconds(const la::Matrix& dict, const OmpConfig& omp,
+                           const Pool& pool, int requests,
+                           std::size_t cache_capacity) {
   ExtDictServer server(dict, {.max_batch = 8,
                               .max_delay_us = 50,
                               .workers = 2,
@@ -629,601 +144,66 @@ void run_cache_pass(const la::Matrix& dict, const sparsecoding::OmpConfig& omp,
                               .cache_capacity = cache_capacity});
   const Clock::time_point start = Clock::now();
   for (int i = 0; i < requests; ++i) {
-    const Clock::time_point t0 = Clock::now();
     auto future =
         server.submit(pool[static_cast<std::size_t>(i) % pool.size()]);
-    if (future.wait_for(30s) != std::future_status::ready) {
-      ++out.lost;
-      continue;
-    }
-    try {
-      (void)future.get();
-      ++out.served;
-    } catch (...) {
-      ++out.errors;
-    }
-    latency.record(std::chrono::duration<double>(Clock::now() - t0).count());
+    (void)resolved(future);
   }
-  out.wall_seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  server.stop();
-  out.stats = server.stats();
-  out.cache = server.cache_stats();
+  return seconds_since(start);
 }
 
-Json cache_pass_json(const CachePassResult& r, const util::Histogram& latency,
-                     int requests) {
-  Json j = Json::object();
-  j["wall_seconds"] = r.wall_seconds;
-  j["throughput_rps"] =
-      r.wall_seconds > 0 ? static_cast<double>(r.served) / r.wall_seconds : 0.0;
-  j["served"] = r.served;
-  j["lost"] = r.lost;
-  j["hits"] = r.cache.hits;
-  j["misses"] = r.cache.misses;
-  j["hit_ratio"] = requests > 0
-                       ? static_cast<double>(r.cache.hits) / requests
-                       : 0.0;
-  j["insertions"] = r.cache.insertions;
-  j["evictions"] = r.cache.evictions;
-  j["latency"] = latency_json(latency);
-  return j;
-}
-
-// Interleaved cold/warm rounds (same rationale as the amortization duel:
-// per-round ratios share machine state, the verdict is their median).
-Json run_cache_sweep(const la::Matrix& dict, const sparsecoding::OmpConfig& omp,
-                     const std::vector<std::vector<Real>>& full_pool,
-                     bool quick, bool& violated) {
-  // Repeats must dominate for the sweep to mean anything: draw from a
-  // 32-signal slice of the workload pool so a warm pass hits on all but
-  // the first occurrence of each signal.
-  const std::vector<std::vector<Real>> pool(
-      full_pool.begin(),
-      full_pool.begin() + std::min<std::size_t>(32, full_pool.size()));
-  const int requests = quick ? 256 : 2048;
-  const int rounds = quick ? 3 : 5;
-  const std::size_t warm_capacity = 2 * pool.size();
-
-  std::vector<std::unique_ptr<CachePassResult>> cold_passes, warm_passes;
-  util::Histogram cold_latency, warm_latency;
-  std::vector<double> round_ratio;
-  bool books_ok = true;
-  bool hits_exact = true;
-  for (int r = 0; r < rounds; ++r) {
-    cold_passes.push_back(std::make_unique<CachePassResult>());
-    run_cache_pass(dict, omp, pool, requests, 0, *cold_passes.back(),
-                   cold_latency);
-    warm_passes.push_back(std::make_unique<CachePassResult>());
-    run_cache_pass(dict, omp, pool, requests, warm_capacity,
-                   *warm_passes.back(), warm_latency);
-    const CachePassResult& cold = *cold_passes.back();
-    const CachePassResult& warm = *warm_passes.back();
-    if (cold.wall_seconds > 0 && warm.wall_seconds > 0) {
-      round_ratio.push_back(cold.wall_seconds / warm.wall_seconds);
-    }
-    for (const CachePassResult* p : {&cold, &warm}) {
-      books_ok = books_ok && p->lost == 0 && p->errors == 0 &&
-                 p->served == static_cast<std::uint64_t>(requests) &&
-                 p->stats.submitted == p->stats.accepted + p->stats.invalid +
-                                           p->stats.rejected + p->stats.stopped +
-                                           p->stats.cache_hits;
-    }
-    hits_exact = hits_exact && cold.cache.hits == 0 &&
-                 warm.cache.hits ==
-                     static_cast<std::uint64_t>(requests) - pool.size() &&
-                 warm.cache.hits + warm.cache.misses ==
-                     static_cast<std::uint64_t>(requests);
-  }
-  std::sort(round_ratio.begin(), round_ratio.end());
-  const double warm_speedup =
-      round_ratio.empty() ? 0.0 : round_ratio[round_ratio.size() / 2];
-  const bool warm_beats_cold = warm_speedup > 1.0;
-  violated = violated || !books_ok || !hits_exact || !warm_beats_cold;
-
-  // Report the fastest pass of each side (the duel verdict stays median).
-  const auto fastest = [](const auto& passes) -> const CachePassResult& {
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < passes.size(); ++i) {
-      if (passes[i]->wall_seconds < passes[best]->wall_seconds) best = i;
-    }
-    return *passes[best];
-  };
-
-  Json j = Json::object();
-  j["requests"] = static_cast<std::uint64_t>(requests);
-  j["rounds"] = static_cast<std::uint64_t>(rounds);
-  j["pool_size"] = static_cast<std::uint64_t>(pool.size());
-  j["warm_capacity"] = static_cast<std::uint64_t>(warm_capacity);
-  j["expected_warm_hit_ratio"] =
-      static_cast<double>(requests - static_cast<int>(pool.size())) / requests;
-  j["cold"] = cache_pass_json(fastest(cold_passes), cold_latency, requests);
-  j["warm"] = cache_pass_json(fastest(warm_passes), warm_latency, requests);
-  j["warm_speedup"] = warm_speedup;  // median of per-round wall-time ratios
-  j["warm_beats_cold"] = warm_beats_cold;
-  j["hit_accounting_exact"] = hits_exact;
-  j["accounting_balanced"] = books_ok;
-
-  std::printf("  cache sweep: cold %.3fs vs warm %.3fs (%.2fx, hits %s)%s\n",
-              fastest(cold_passes).wall_seconds,
-              fastest(warm_passes).wall_seconds, warm_speedup,
-              hits_exact ? "exact" : "WRONG",
-              warm_beats_cold && books_ok && hits_exact ? ""
-                                                        : "  [VIOLATION]");
-  return j;
-}
-
-// Serve-while-extending: producers hammer a cached server drawing from the
-// shared pool while the main thread flips the dictionary epoch repeatedly.
-// Zero lost futures, balanced identities, monotone per-producer epochs, and
-// old epochs fully reclaimed after the drain — the zero-downtime contract.
-Json run_extend_pass(const la::Matrix& dict, const sparsecoding::OmpConfig& omp,
-                     const std::vector<std::vector<Real>>& pool, bool quick,
-                     bool& violated) {
-  using namespace std::chrono_literals;
-  const int producers = 4;
-  const int per_producer = quick ? 200 : 1000;
-  const int flips = 3;
-  const Index atoms_per_flip = 8;
-
-  auto registry = std::make_shared<serve::DictRegistry>(dict, omp);
-  ExtDictServer server(registry, {.max_batch = 8,
-                                  .max_delay_us = 50,
-                                  .workers = 2,
-                                  .queue_capacity = 256,
-                                  .omp = omp,
-                                  .cache_capacity = 2 * pool.size()});
-  std::atomic<std::uint64_t> served{0}, errors{0}, lost{0};
-  std::atomic<bool> epoch_regressed{false};
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(producers));
-  const Clock::time_point start = Clock::now();
-  for (int p = 0; p < producers; ++p) {
-    threads.emplace_back([&, p] {
-      std::uint64_t last_epoch = 0;
-      for (int i = 0; i < per_producer; ++i) {
-        auto future = server.submit(
-            pool[static_cast<std::size_t>(p * 31 + i) % pool.size()]);
-        if (future.wait_for(30s) != std::future_status::ready) {
-          lost.fetch_add(1);
-          continue;
-        }
-        try {
-          const EncodeResult result = future.get();
-          // May lag the registry (pinned batches, cached codes) but must
-          // never run backwards within one producer.
-          if (result.dict_epoch < last_epoch) epoch_regressed = true;
-          last_epoch = std::max(last_epoch, result.dict_epoch);
-          served.fetch_add(1);
-        } catch (...) {
-          errors.fetch_add(1);
-        }
-      }
-    });
-  }
-
-  std::vector<double> flip_seconds;
-  {
-    la::Rng flip_rng(19);
-    for (int f = 0; f < flips; ++f) {
-      std::this_thread::sleep_for(2ms);
-      const Clock::time_point t0 = Clock::now();
-      registry->extend(
-          flip_rng.gaussian_matrix(dict.rows(), atoms_per_flip, true));
-      flip_seconds.push_back(
-          std::chrono::duration<double>(Clock::now() - t0).count());
-    }
-  }
-  for (auto& t : threads) t.join();
-  const double wall_seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  server.stop();
-
-  const ServerStats s = server.stats();
-  const serve::EncodeCacheStats c = server.cache_stats();
-  const auto total =
-      static_cast<std::uint64_t>(producers) * per_producer;
-  const bool balanced =
-      s.submitted == total &&
-      s.submitted ==
-          s.accepted + s.invalid + s.rejected + s.stopped + s.cache_hits &&
-      s.accepted == s.served + s.encode_failed + s.shed + s.discarded &&
-      s.columns_encoded == s.served + s.encode_failed &&
-      s.served + s.cache_hits == served.load() &&
-      c.hits == s.cache_hits;
-  double max_flip_seconds = 0;
-  for (const double fs : flip_seconds) {
-    max_flip_seconds = std::max(max_flip_seconds, fs);
-  }
-  const bool ok = lost.load() == 0 && errors.load() == 0 &&
-                  !epoch_regressed.load() && balanced &&
-                  registry->current_epoch() ==
-                      static_cast<std::uint64_t>(flips) &&
-                  registry->live_epochs() == 1;
-  violated = violated || !ok;
-
-  Json j = Json::object();
-  j["producers"] = static_cast<std::uint64_t>(producers);
-  j["requests_per_producer"] = static_cast<std::uint64_t>(per_producer);
-  j["flips"] = static_cast<std::uint64_t>(flips);
-  j["atoms_per_flip"] = static_cast<std::uint64_t>(atoms_per_flip);
-  j["epoch_after"] = registry->current_epoch();
-  j["atoms_before"] = static_cast<std::uint64_t>(dict.cols());
-  j["atoms_after"] = static_cast<std::uint64_t>(registry->atom_count());
-  j["wall_seconds"] = wall_seconds;
-  j["served"] = served.load();
-  j["cache_hits"] = s.cache_hits;
-  j["lost"] = lost.load();
-  j["errors"] = errors.load();
-  Json flip_json = Json::array();
-  for (const double fs : flip_seconds) flip_json.push_back(fs);
-  j["flip_seconds"] = std::move(flip_json);
-  j["max_flip_seconds"] = max_flip_seconds;
-  j["epochs_monotone_per_producer"] = !epoch_regressed.load();
-  j["live_epochs_after_drain"] =
-      static_cast<std::uint64_t>(registry->live_epochs());
-  j["accounting_balanced"] = balanced;
-  j["contract_held"] = ok;
-
-  std::printf(
-      "  extend pass: %d flips under %llu requests, max flip %.1f ms, "
-      "hits %llu%s\n",
-      flips, static_cast<unsigned long long>(total), max_flip_seconds * 1e3,
-      static_cast<unsigned long long>(s.cache_hits),
-      ok ? "" : "  [VIOLATION]");
-  return j;
-}
-
-// -- Live-telemetry pass (BENCH_telemetry.json) -------------------------------
-
-std::uint64_t record_counter(const Json& record, const char* name) {
-  const Json* cell = record.at("counters").find(name);
-  return cell == nullptr ? 0 : cell->as_u64();
-}
-
-std::int64_t record_gauge(const Json& record, const char* name) {
-  const Json* cell = record.at("gauges").find(name);
-  return cell == nullptr ? 0 : static_cast<std::int64_t>(cell->as_double());
-}
-
-double window_field(const Json& record, const char* hist, const char* field) {
-  const Json* cell = record.at("window_quantiles").find(hist);
-  if (cell == nullptr) return 0.0;
-  const Json* value = cell->find(field);
-  return value == nullptr ? 0.0 : value->as_double();
-}
-
-// The per-snapshot serving identity: everything accepted is either resolved
-// (served / encode-failed / shed / discarded), still queued, or in flight.
-// Counters and gauges are sampled a few instructions apart from the racing
-// mutators, so live snapshots may be off by a bounded transient; the drained
-// final snapshot must reconcile exactly.
-std::int64_t snapshot_residual(const Json& record) {
-  const auto expected =
-      static_cast<std::int64_t>(record_counter(record, "serve.accepted")) -
-      static_cast<std::int64_t>(record_counter(record, "serve.served")) -
-      static_cast<std::int64_t>(
-          record_counter(record, "serve.encode_failures")) -
-      static_cast<std::int64_t>(record_counter(record, "serve.shed")) -
-      static_cast<std::int64_t>(record_counter(record, "serve.discarded"));
-  const std::int64_t level = record_gauge(record, "serve.queue.depth") +
-                             record_gauge(record, "serve.inflight");
-  return level - expected;
-}
-
-// One closed-loop encode pass, optionally shadowed by a live snapshotter —
-// the overhead duel's unit of work. Returns the pass wall seconds.
-double run_overhead_pass(const la::Matrix& dict,
-                         const sparsecoding::OmpConfig& omp,
-                         const std::vector<std::vector<Real>>& pool,
-                         int requests, const std::string& snapshot_path) {
-  using namespace std::chrono_literals;
+// One closed-loop pass, optionally shadowed by a live snapshotter on the
+// global registry. Returns the pass wall seconds.
+double snapshotter_pass_seconds(const la::Matrix& dict, const OmpConfig& omp,
+                                const Pool& pool, int requests,
+                                const std::string& snapshot_path) {
   ExtDictServer server(dict, {.max_batch = 8,
                               .max_delay_us = 50,
                               .workers = 2,
                               .queue_capacity = 256,
                               .omp = omp});
-  std::unique_ptr<util::TelemetrySnapshotter> snapshotter;
+  std::optional<util::TelemetrySnapshotter> snapshotter;
   if (!snapshot_path.empty()) {
-    snapshotter = std::make_unique<util::TelemetrySnapshotter>(
-        util::MetricsRegistry::global(), snapshot_path,
-        util::TelemetryOptions{.period_ms = 50});
+    snapshotter.emplace(util::MetricsRegistry::global(), snapshot_path,
+                        util::TelemetryOptions{.period_ms = 50});
   }
-  const Clock::time_point start = Clock::now();
-  std::vector<std::future<EncodeResult>> futures;
-  futures.reserve(static_cast<std::size_t>(requests));
-  for (int i = 0; i < requests; ++i) {
-    futures.push_back(
-        server.submit(pool[static_cast<std::size_t>(i) % pool.size()]));
-  }
-  for (auto& future : futures) {
-    if (future.wait_for(30s) == std::future_status::ready) {
-      try {
-        (void)future.get();
-      } catch (...) {
-        // Outcome bucketing is the main passes' job; this one only times.
-      }
-    }
-  }
-  return std::chrono::duration<double>(Clock::now() - start).count();
+  return closed_loop(server, pool, requests).seconds;
 }
 
-// Tentpole pass: open-loop load with a mid-run epoch flip while a
-// TelemetrySnapshotter samples the global registry every 50 ms. The JSONL
-// stream is parsed back and every snapshot is reconciled against the serving
-// identity; an interleaved duel then bounds the snapshotter's overhead.
-Json run_telemetry_pass(const la::Matrix& dict,
-                        const sparsecoding::OmpConfig& omp,
-                        const std::vector<std::vector<Real>>& pool,
-                        const Options& options, bool& violated) {
-  using namespace std::chrono_literals;
-  util::MetricsRegistry& metrics = util::MetricsRegistry::global();
+// The one duel loop: `rounds` rounds of first() then second(), both in
+// seconds, each round recording first / second. The verdict compares the
+// median ratio (upper median; every duel runs an odd round count) with
+// `floor`: above it for a speed-up, in (0, floor] for an overhead.
+enum class Verdict { kAbove, kAtMost };
 
-  // The schedule, not the machine, bounds the pass: the last arrival lands
-  // at ~requests/offered_rps seconds, so even a fast box holds the load open
-  // long enough for >= 20 snapshot periods (the acceptance floor) in quick
-  // mode too.
-  const int requests = 3000;
-  const double offered_rps = 2000.0;
-  const std::int64_t period_ms = 50;
-  const int flip_at = requests / 2;
-  const Index atoms_per_flip = 8;
-  // Room for every pool signal under two epochs: hits climb while an epoch
-  // is stable, the flip invalidates the working set (new epoch, new keys),
-  // and the occupancy gauges show the second epoch's set filling alongside
-  // the first — all visible in the snapshot stream.
-  const std::size_t cache_capacity = 2 * pool.size();
-  // Live-snapshot slack: every thread mid-transition between a counter bump
-  // and its adjacent gauge update skews the identity by at most 1 request,
-  // and the sampler itself reads the maps over a short window. 1 submitter +
-  // 2 workers bounds the instantaneous skew; doubled twice for headroom.
-  const std::int64_t tolerance = 12;
-  const std::string jsonl_name = "telemetry_serve.jsonl";
-  const std::string jsonl_path = options.out_dir + "/" + jsonl_name;
-
-  // Counters must start from zero for the snapshots to reconcile against
-  // the gauge levels. Gauges are already balanced back to zero here (every
-  // earlier server drained and was destroyed); reset() clears any residue.
-  metrics.reset();
-  metrics.set_enabled(true);
-
-  auto registry = std::make_shared<serve::DictRegistry>(dict, omp);
-  std::uint64_t lost = 0, errors = 0, client_served = 0;
-  std::uint64_t snapshot_count = 0;
-  double flip_wall_ms = -1.0, flip_seconds = 0.0, wall_seconds = 0.0;
-  ServerStats stats;
-  serve::EncodeCacheStats cache;
-  bool snapshotter_ok = false;
-  {
-    ExtDictServer server(registry, {.max_batch = 8,
-                                    .max_delay_us = 200,
-                                    .workers = 2,
-                                    .queue_capacity = 256,
-                                    .omp = omp,
-                                    .cache_capacity = cache_capacity});
-    util::TelemetrySnapshotter snapshotter(
-        metrics, jsonl_path, util::TelemetryOptions{.period_ms = period_ms});
-
-    std::mt19937_64 gen(0x5eedULL + static_cast<std::uint64_t>(requests));
-    std::exponential_distribution<double> interarrival(offered_rps);
-    std::vector<double> arrival_s;
-    arrival_s.reserve(static_cast<std::size_t>(requests));
-    double t = 0;
-    for (int i = 0; i < requests; ++i) {
-      t += interarrival(gen);
-      arrival_s.push_back(t);
-    }
-
-    std::vector<std::future<EncodeResult>> futures;
-    futures.reserve(static_cast<std::size_t>(requests));
-    const Clock::time_point start = Clock::now();
-    for (int i = 0; i < requests; ++i) {
-      if (i == flip_at) {
-        la::Rng flip_rng(19);
-        const Clock::time_point t0 = Clock::now();
-        registry->extend(
-            flip_rng.gaussian_matrix(dict.rows(), atoms_per_flip, true));
-        const Clock::time_point t1 = Clock::now();
-        flip_seconds = std::chrono::duration<double>(t1 - t0).count();
-        flip_wall_ms =
-            std::chrono::duration<double, std::milli>(t1 - start).count();
-      }
-      std::this_thread::sleep_until(
-          start + std::chrono::duration<double>(arrival_s[static_cast<
-                      std::size_t>(i)]));
-      futures.push_back(
-          server.submit(pool[static_cast<std::size_t>(i) % pool.size()]));
-    }
-    for (auto& future : futures) {
-      if (future.wait_for(30s) != std::future_status::ready) {
-        ++lost;
-        continue;
-      }
-      try {
-        (void)future.get();
-        ++client_served;
-      } catch (...) {
-        ++errors;
-      }
-    }
-    wall_seconds = std::chrono::duration<double>(Clock::now() - start).count();
-    server.stop();  // drain: the final snapshot must reconcile exactly
-    snapshotter.stop();
-    snapshot_count = snapshotter.snapshots_written();
-    snapshotter_ok = snapshotter.ok();
-    stats = server.stats();
-    cache = server.cache_stats();
+template <typename First, typename Second>
+Json run_duel(const char* name, int rounds, double floor, Verdict verdict,
+              First first, Second second, bool& all_ok) {
+  std::vector<double> ratios;
+  for (int r = 0; r < rounds; ++r) {
+    const double a = first();
+    const double b = second();
+    ratios.push_back(b > 0 ? a / b : 0.0);
   }
+  std::vector<double> sorted = ratios;
+  std::sort(sorted.begin(), sorted.end());
+  const double median = sorted[sorted.size() / 2];
+  const bool ok = verdict == Verdict::kAbove
+                      ? median > floor
+                      : median > 0.0 && median <= floor;
+  all_ok = all_ok && ok;
 
-  // Parse the stream back and reconcile every snapshot.
-  std::vector<Json> records;
-  {
-    std::ifstream in(jsonl_path);
-    std::string line;
-    while (std::getline(in, line)) {
-      if (!line.empty()) records.push_back(Json::parse(line));
-    }
-  }
-
-  Json snapshots = Json::array();
-  bool seq_monotone = true;
-  std::int64_t max_abs_residual = 0, final_residual = 0;
-  std::size_t first_flipped = records.size();
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const Json& record = records[i];
-    if (static_cast<std::size_t>(record.at("seq").as_u64()) != i) {
-      seq_monotone = false;
-    }
-    const std::int64_t residual = snapshot_residual(record);
-    max_abs_residual = std::max(max_abs_residual, std::abs(residual));
-    if (i + 1 == records.size()) final_residual = residual;
-    if (first_flipped == records.size() &&
-        record_gauge(record, "serve.registry.epoch") >= 1) {
-      first_flipped = i;
-    }
-
-    Json snap = Json::object();
-    snap["seq"] = record.at("seq").as_u64();
-    snap["wall_ms"] = record.at("wall_ms").as_double();
-    snap["submitted"] = record_counter(record, "serve.submitted");
-    snap["accepted"] = record_counter(record, "serve.accepted");
-    snap["served"] = record_counter(record, "serve.served");
-    snap["encode_failures"] = record_counter(record, "serve.encode_failures");
-    snap["shed"] = record_counter(record, "serve.shed");
-    snap["discarded"] = record_counter(record, "serve.discarded");
-    snap["cache_hits"] = record_counter(record, "serve.cache_hits");
-    snap["queue_depth"] = record_gauge(record, "serve.queue.depth");
-    snap["inflight"] = record_gauge(record, "serve.inflight");
-    snap["busy_workers"] = record_gauge(record, "serve.workers.busy");
-    snap["epoch"] = record_gauge(record, "serve.registry.epoch");
-    snap["live_epochs"] = record_gauge(record, "serve.registry.live_epochs");
-    snap["cache_entries"] = record_gauge(record, "serve.cache.entries");
-    snap["cache_resident_bytes"] =
-        record_gauge(record, "serve.cache.resident_bytes");
-    snap["window_count"] =
-        window_field(record, "serve.latency.total_seconds", "count");
-    snap["window_p50"] =
-        window_field(record, "serve.latency.total_seconds", "p50");
-    snap["window_p99"] =
-        window_field(record, "serve.latency.total_seconds", "p99");
-    snap["cumulative_count"] =
-        window_field(record, "serve.latency.total_seconds", "cumulative_count");
-    snap["cumulative_p50"] =
-        window_field(record, "serve.latency.total_seconds", "cumulative_p50");
-    snap["cumulative_p99"] =
-        window_field(record, "serve.latency.total_seconds", "cumulative_p99");
-    snap["residual"] = residual;
-    snapshots.push_back(std::move(snap));
-  }
-
-  const bool reconciled =
-      !records.empty() && max_abs_residual <= tolerance &&
-      final_residual == 0 &&
-      record_gauge(records.back(), "serve.queue.depth") == 0 &&
-      record_gauge(records.back(), "serve.inflight") == 0;
-  const bool flip_visible = first_flipped > 0 &&
-                            first_flipped < records.size() &&
-                            registry->current_epoch() == 1;
-  const bool enough = snapshot_count >= 20 && records.size() == snapshot_count;
-  const bool balanced =
-      stats.submitted == static_cast<std::uint64_t>(requests) &&
-      stats.submitted == stats.accepted + stats.invalid + stats.rejected +
-                             stats.stopped + stats.cache_hits &&
-      stats.accepted ==
-          stats.served + stats.encode_failed + stats.shed + stats.discarded &&
-      stats.served + stats.cache_hits == client_served;
-
-  // Overhead duel: interleaved with/without-snapshotter rounds, verdict on
-  // the median per-round wall ratio — the same noise-robust scheme as the
-  // amortization and warm-cache duels. The floor is the bench's documented
-  // noise allowance, not a measured constant.
-  const int duel_rounds = options.quick ? 3 : 5;
-  const int duel_requests = options.quick ? 600 : 1500;
-  const double overhead_floor = 1.15;
-  std::vector<double> overhead_ratios;
-  for (int r = 0; r < duel_rounds; ++r) {
-    const double with_s =
-        run_overhead_pass(dict, omp, pool, duel_requests,
-                          options.out_dir + "/telemetry_overhead.jsonl");
-    const double without_s =
-        run_overhead_pass(dict, omp, pool, duel_requests, "");
-    if (without_s > 0) overhead_ratios.push_back(with_s / without_s);
-  }
-  std::sort(overhead_ratios.begin(), overhead_ratios.end());
-  const double overhead_ratio =
-      overhead_ratios.empty() ? 0.0
-                              : overhead_ratios[overhead_ratios.size() / 2];
-  const bool overhead_ok =
-      overhead_ratio > 0.0 && overhead_ratio <= overhead_floor;
-
-  const bool ok = lost == 0 && errors == 0 && snapshotter_ok && seq_monotone &&
-                  enough && reconciled && flip_visible && balanced &&
-                  overhead_ok;
-  violated = violated || !ok;
-
+  Json ratio_json = Json::array();
+  for (const double ratio : ratios) ratio_json.push_back(ratio);
   Json j = Json::object();
-  Json config = Json::object();
-  config["requests"] = static_cast<std::uint64_t>(requests);
-  config["offered_rps"] = offered_rps;
-  config["period_ms"] = static_cast<std::uint64_t>(period_ms);
-  config["workers"] = static_cast<std::uint64_t>(2);
-  config["max_batch"] = static_cast<std::uint64_t>(8);
-  config["queue_capacity"] = static_cast<std::uint64_t>(256);
-  config["cache_capacity"] = static_cast<std::uint64_t>(cache_capacity);
-  config["flip_at_request"] = static_cast<std::uint64_t>(flip_at);
-  config["atoms_per_flip"] = static_cast<std::uint64_t>(atoms_per_flip);
-  config["tolerance"] = tolerance;
-  config["snapshots_file"] = jsonl_name;
-  j["config"] = std::move(config);
-  j["wall_seconds"] = wall_seconds;
-  j["served"] = stats.served;
-  j["cache_hits"] = stats.cache_hits;
-  j["lost"] = lost;
-  j["errors"] = errors;
-  j["snapshotter_ok"] = snapshotter_ok;
-  j["snapshot_count"] = snapshot_count;
-  j["seq_monotone"] = seq_monotone;
-  j["snapshots"] = std::move(snapshots);
-  Json reconciliation = Json::object();
-  reconciliation["tolerance"] = tolerance;
-  reconciliation["max_abs_residual"] = max_abs_residual;
-  reconciliation["final_residual"] = final_residual;
-  reconciliation["ok"] = reconciled;
-  j["reconciliation"] = std::move(reconciliation);
-  Json flip = Json::object();
-  flip["epoch_after"] = registry->current_epoch();
-  flip["flip_wall_ms"] = flip_wall_ms;
-  flip["flip_seconds"] = flip_seconds;
-  flip["pre_flip_snapshots"] = static_cast<std::uint64_t>(first_flipped);
-  flip["post_flip_snapshots"] = static_cast<std::uint64_t>(
-      records.size() - std::min(first_flipped, records.size()));
-  flip["ok"] = flip_visible;
-  j["epoch_flip"] = std::move(flip);
-  Json overhead = Json::object();
-  overhead["rounds"] = static_cast<std::uint64_t>(duel_rounds);
-  overhead["requests_per_round"] = static_cast<std::uint64_t>(duel_requests);
-  overhead["median_ratio"] = overhead_ratio;
-  overhead["floor"] = overhead_floor;
-  overhead["ok"] = overhead_ok;
-  j["overhead"] = std::move(overhead);
-  Json cache_json = Json::object();
-  cache_json["hits"] = cache.hits;
-  cache_json["misses"] = cache.misses;
-  cache_json["entries_at_drain"] = cache.entries;
-  cache_json["resident_bytes_at_drain"] = cache.resident_bytes;
-  j["cache"] = std::move(cache_json);
-  j["accounting_balanced"] = balanced;
-  j["contract_held"] = ok;
-
-  std::printf(
-      "  telemetry pass: %llu snapshots @ %lld ms, max residual %lld "
-      "(tol %lld), flip @ snapshot %llu, overhead %.2fx%s\n",
-      static_cast<unsigned long long>(snapshot_count),
-      static_cast<long long>(period_ms),
-      static_cast<long long>(max_abs_residual),
-      static_cast<long long>(tolerance),
-      static_cast<unsigned long long>(first_flipped), overhead_ratio,
-      ok ? "" : "  [VIOLATION]");
+  j["rounds"] = static_cast<std::uint64_t>(rounds);
+  j["ratios"] = std::move(ratio_json);
+  j["median"] = median;
+  j["floor"] = floor;
+  j["ok"] = ok;
+  std::printf("  %-11s median %.3fx over %d rounds (must be %s %.2f)%s\n",
+              name, median, rounds,
+              verdict == Verdict::kAbove ? ">" : "<=", floor,
+              ok ? "" : "  [VIOLATION]");
   return j;
 }
 
@@ -1263,267 +243,96 @@ int main(int argc, char** argv) {
   // sparsity cap so every request costs the same deterministic atom count —
   // the clean setting for comparing scheduler configurations.
   const Index m = 48, l = 96;
-  const sparsecoding::OmpConfig omp{.tolerance = 0.0, .max_atoms = 8};
+  const OmpConfig omp{.tolerance = 0.0, .max_atoms = 8};
   la::Rng rng(17);
   const la::Matrix dict = rng.gaussian_matrix(m, l, true);
-  const auto pool = make_signal_pool(m, 256, 18);
+  const Pool pool = make_signal_pool(m, 256, 18);
 
   util::TraceRecorder& trace = util::TraceRecorder::global();
-  // The traced flagship pass now records four per-request lifecycle instants
-  // on top of the batch spans; the default 16K ring would overflow at the
-  // full-mode request count. Raised before any thread records its first
-  // event, so every lazily-created ring gets the larger capacity.
+  // The traced pass records four per-request lifecycle instants on top of
+  // the batch spans; the default 16K ring would overflow at the full-mode
+  // request count. Raised before any thread records its first event, so
+  // every lazily-created ring gets the larger capacity.
   trace.set_capacity(std::size_t{1} << 17);
 
   Json doc = Json::object();
-  doc["schema_version"] = 1;
-  doc["benchmark"] = "bench/run_server_bench micro-batch serving sweep";
+  doc["schema_version"] = 2;
+  doc["benchmark"] = "bench/run_server_bench serving timing duels";
   doc["mode"] = options.quick ? "quick" : "full";
-  doc["units"] =
-      "throughput_rps: served requests per wall second; latency seconds are "
-      "queue wait + shared batch encode window, per request";
   Json workload = Json::object();
   workload["signal_dim"] = static_cast<std::uint64_t>(m);
   workload["atoms"] = static_cast<std::uint64_t>(l);
   workload["tolerance"] = omp.tolerance;
   workload["max_atoms"] = static_cast<std::uint64_t>(omp.max_atoms);
   workload["signal_pool"] = static_cast<std::uint64_t>(pool.size());
-  workload["seeds"] = "dict=17 signals=18 arrivals=0x5eed+requests";
+  workload["seeds"] = "dict=17 signals=18";
   doc["workload"] = std::move(workload);
 
-  Json cases = Json::array();
-  bool books_balance = true;
-  std::uint64_t total_submitted = 0, total_served = 0, total_lost = 0;
-  double batch1_rps = 0, batch32_rps = 0;
+  bool all_ok = true;
+  Json duels = Json::object();
 
-  std::vector<CaseSpec> sweep = build_sweep(options.quick);
+  const int batch_requests = options.quick ? 2000 : 8000;
+  // Seconds per served request, so batch-1 / batch-32 is the batch-32 over
+  // batch-1 throughput ratio.
+  const auto batch_pass = [&](Index max_batch) {
+    ExtDictServer server(dict, batch_config(max_batch, omp));
+    const Pass pass = closed_loop(server, pool, batch_requests);
+    return pass.served > 0 ? pass.seconds / pass.served : 0.0;
+  };
+  duels["batch"] = run_duel(
+      "batch", 7, 1.0, Verdict::kAbove, [&] { return batch_pass(1); },
+      [&] { return batch_pass(32); }, all_ok);
 
-  // The amortization pair duels with interleaved passes: alternating
-  // batch1/batch32 rounds land transient machine load on both configs
-  // instead of skewing whichever happened to own the noisy window. Each
-  // round yields a paired throughput ratio (its two passes are adjacent in
-  // time, so they share the machine state); the verdict is the MEDIAN of
-  // those per-round ratios — robust even when absolute throughput swings
-  // 2x between rounds on a busy single-core box.
-  std::map<std::string, std::vector<std::unique_ptr<CaseResult>>> prerun;
-  double duel_speedup = 0.0;
-  {
-    const CaseSpec* duel[2] = {nullptr, nullptr};
-    for (const CaseSpec& s : sweep) {
-      if (s.name == "closed_batch1_w1") duel[0] = &s;
-      if (s.name == "closed_batch32_w1") duel[1] = &s;
-    }
-    if (duel[0] != nullptr && duel[1] != nullptr) {
-      const auto pass_rps = [](const CaseResult& c) {
-        return c.wall_seconds > 0
-                   ? static_cast<double>(c.served) / c.wall_seconds
-                   : 0.0;
-      };
-      const int rounds =
-          std::max({1, duel[0]->repeats, duel[1]->repeats});
-      std::vector<double> round_ratio;
-      for (int r = 0; r < rounds; ++r) {
-        double rps[2] = {0.0, 0.0};
-        for (int side = 0; side < 2; ++side) {
-          const CaseSpec* s = duel[side];
-          prerun[s->name].push_back(std::make_unique<CaseResult>());
-          run_case(*s, dict, pool, omp, *prerun[s->name].back());
-          rps[side] = pass_rps(*prerun[s->name].back());
-        }
-        if (rps[0] > 0) round_ratio.push_back(rps[1] / rps[0]);
-      }
-      std::sort(round_ratio.begin(), round_ratio.end());
-      if (!round_ratio.empty()) {
-        duel_speedup = round_ratio[round_ratio.size() / 2];
-      }
-    }
-  }
+  // Repeats must dominate for the cache duel to mean anything: a 32-signal
+  // slice of the pool, so the warm side hits on all but the first occurrence
+  // of each signal.
+  const Pool cache_pool(pool.begin(), pool.begin() + 32);
+  const int cache_requests = options.quick ? 256 : 2048;
+  duels["cache"] = run_duel(
+      "cache", options.quick ? 3 : 5, 1.0, Verdict::kAbove,
+      [&] {
+        return serial_pass_seconds(dict, omp, cache_pool, cache_requests, 0);
+      },
+      [&] {
+        return serial_pass_seconds(dict, omp, cache_pool, cache_requests,
+                                   2 * cache_pool.size());
+      },
+      all_ok);
 
-  for (const CaseSpec& spec : sweep) {
-    // Every pass must balance its books — a dropped future in any pass is a
-    // mismatch in that pass. Reported numbers come from the fastest pass.
-    std::vector<std::unique_ptr<CaseResult>> passes;
-    if (auto it = prerun.find(spec.name); it != prerun.end()) {
-      passes = std::move(it->second);
-    } else {
-      for (int rep = 0; rep < std::max(1, spec.repeats); ++rep) {
-        passes.push_back(std::make_unique<CaseResult>());
-        run_case(spec, dict, pool, omp, *passes.back());
-      }
-    }
-    const auto rps_of = [](const CaseResult& c) {
-      return c.wall_seconds > 0 ? static_cast<double>(c.served) / c.wall_seconds
-                                : 0.0;
-    };
-    std::size_t best = 0;
-    bool all_passes_balanced = true;
-    std::vector<double> pass_rps;
-    for (std::size_t r = 0; r < passes.size(); ++r) {
-      all_passes_balanced =
-          all_passes_balanced && accounting_balances(spec, *passes[r]);
-      pass_rps.push_back(rps_of(*passes[r]));
-      if (pass_rps[r] > pass_rps[best]) best = r;
-    }
-    std::sort(pass_rps.begin(), pass_rps.end());
-    const double median_rps = pass_rps[pass_rps.size() / 2];
-    // Cases report the best pass; the amortization verdict uses the median.
-    const CaseResult& result = *passes[best];
+  const int snapshot_requests = options.quick ? 600 : 1500;
+  const std::string snapshot_path =
+      options.out_dir + "/telemetry_overhead.jsonl";
+  duels["snapshotter"] = run_duel(
+      "snapshotter", options.quick ? 3 : 5, 1.15, Verdict::kAtMost,
+      [&] {
+        return snapshotter_pass_seconds(dict, omp, pool, snapshot_requests,
+                                        snapshot_path);
+      },
+      [&] {
+        return snapshotter_pass_seconds(dict, omp, pool, snapshot_requests,
+                                        "");
+      },
+      all_ok);
+  doc["duels"] = std::move(duels);
 
-    // The flagship case records its serve.batch.* timeline in a dedicated
-    // extra pass so trace overhead never contaminates the measured numbers.
-    if (spec.traced && !options.trace_path.empty()) {
-      trace.set_enabled(true);
-      CaseResult traced_pass;
-      run_case(spec, dict, pool, omp, traced_pass);
-      trace.set_enabled(false);
-      books_balance = books_balance && accounting_balances(spec, traced_pass);
-    }
-
-    const bool balanced = all_passes_balanced;
-    books_balance = books_balance && balanced;
-    total_submitted += result.stats.submitted;
-    total_served += result.stats.served;
-    total_lost += result.lost;
-    const double rps = result.wall_seconds > 0
-                           ? static_cast<double>(result.served) /
-                                 result.wall_seconds
-                           : 0.0;
-    if (spec.name == "closed_batch1_w1") batch1_rps = median_rps;
-    if (spec.name == "closed_batch32_w1") batch32_rps = median_rps;
-
-    std::printf(
-        "  %-18s %6s/%-11s served %5llu/%-5d rps %9.0f p99 %8.1f us%s\n",
-        spec.name.c_str(), spec.offered_rps > 0 ? "open" : "closed",
-        policy_name(spec.policy),
-        static_cast<unsigned long long>(result.served), spec.requests, rps,
-        result.total_latency.quantile(0.99) * 1e6,
-        balanced ? "" : "  [ACCOUNTING MISMATCH]");
-    cases.push_back(case_json(spec, result));
-  }
-  doc["cases"] = std::move(cases);
-
-  // The wire sweep: the same workload over loopback sockets, reported side
-  // by side with an in-process baseline ("wire" section, validated in CI).
-  bool wire_violated = false;
-  doc["wire"] = run_wire_sweep(dict, omp, pool, options.quick, wire_violated);
-
-  // Verdict from the paired duel when it ran; fall back to the case medians
-  // if a custom sweep dropped one side of the pair.
-  const double batch_speedup =
-      duel_speedup > 0
-          ? duel_speedup
-          : (batch1_rps > 0 ? batch32_rps / batch1_rps : 0.0);
-  const bool batch_win = batch_speedup > 1.0;
   Json summary = Json::object();
-  summary["cases"] = static_cast<std::uint64_t>(doc.at("cases").as_array().size());
-  summary["total_submitted"] = total_submitted;
-  summary["total_served"] = total_served;
-  summary["total_lost"] = total_lost;
-  summary["all_futures_resolved"] = total_lost == 0;
-  summary["accounting_balanced"] = books_balance;
-  summary["batch1_rps"] = batch1_rps;  // median across the case's passes
-  summary["batch32_rps"] = batch32_rps;
-  summary["batch_speedup"] = batch_speedup;
-  summary["batch_amortization_win"] = batch_win;
-  summary["wire_contract_held"] = !wire_violated;
+  summary["all_ok"] = all_ok;
   doc["summary"] = std::move(summary);
-
   int rc = write_file(options.out_dir + "/BENCH_serve.json", doc);
 
-  // Second document: the content-addressed cache sweep and the
-  // serve-while-extending pass (BENCH_cache.json, validated in CI).
-  bool cache_violated = false;
-  Json cache_doc = Json::object();
-  cache_doc["schema_version"] = 1;
-  cache_doc["benchmark"] =
-      "bench/run_server_bench content-addressed encode cache + zero-downtime "
-      "extension";
-  cache_doc["mode"] = options.quick ? "quick" : "full";
-  cache_doc["units"] =
-      "latency seconds are client round trips (submit to future-ready); "
-      "warm_speedup is the median per-round cold/warm wall-time ratio";
-  {
-    Json cache_workload = Json::object();
-    cache_workload["signal_dim"] = static_cast<std::uint64_t>(m);
-    cache_workload["atoms"] = static_cast<std::uint64_t>(l);
-    cache_workload["tolerance"] = omp.tolerance;
-    cache_workload["max_atoms"] = static_cast<std::uint64_t>(omp.max_atoms);
-    cache_workload["signal_pool"] = static_cast<std::uint64_t>(pool.size());
-    cache_workload["seeds"] = "dict=17 signals=18 extension_atoms=19";
-    cache_doc["workload"] = std::move(cache_workload);
-  }
-  cache_doc["cache_sweep"] =
-      run_cache_sweep(dict, omp, pool, options.quick, cache_violated);
-  cache_doc["extend_pass"] =
-      run_extend_pass(dict, omp, pool, options.quick, cache_violated);
-  {
-    Json cache_summary = Json::object();
-    cache_summary["warm_beats_cold"] =
-        cache_doc.at("cache_sweep").at("warm_beats_cold").as_bool();
-    cache_summary["hit_accounting_exact"] =
-        cache_doc.at("cache_sweep").at("hit_accounting_exact").as_bool();
-    cache_summary["extension_contract_held"] =
-        cache_doc.at("extend_pass").at("contract_held").as_bool();
-    cache_summary["violations"] = cache_violated;
-    cache_doc["summary"] = std::move(cache_summary);
-  }
-  {
-    const int cache_rc =
-        write_file(options.out_dir + "/BENCH_cache.json", cache_doc);
-    if (cache_rc != 0) rc = cache_rc;
-  }
-
-  // Third document: the live-telemetry pass (BENCH_telemetry.json, validated
-  // by tools/validate_bench_json.py and tools/analyze_telemetry.py in CI).
-  bool telemetry_violated = false;
-  Json telemetry_doc = Json::object();
-  telemetry_doc["schema_version"] = 1;
-  telemetry_doc["benchmark"] =
-      "bench/run_server_bench live serving telemetry (gauges, windowed "
-      "quantiles, periodic snapshot exporter)";
-  telemetry_doc["mode"] = options.quick ? "quick" : "full";
-  telemetry_doc["units"] =
-      "wall_ms is milliseconds since snapshotter start; residual is "
-      "(queue_depth + inflight) - (accepted - served - encode_failures - "
-      "shed - discarded), in requests";
-  {
-    Json telemetry_workload = Json::object();
-    telemetry_workload["signal_dim"] = static_cast<std::uint64_t>(m);
-    telemetry_workload["atoms"] = static_cast<std::uint64_t>(l);
-    telemetry_workload["tolerance"] = omp.tolerance;
-    telemetry_workload["max_atoms"] = static_cast<std::uint64_t>(omp.max_atoms);
-    telemetry_workload["signal_pool"] = static_cast<std::uint64_t>(pool.size());
-    telemetry_workload["seeds"] =
-        "dict=17 signals=18 arrivals=0x5eed+requests extension_atoms=19";
-    telemetry_doc["workload"] = std::move(telemetry_workload);
-  }
-  telemetry_doc["telemetry_pass"] =
-      run_telemetry_pass(dict, omp, pool, options, telemetry_violated);
-  {
-    Json telemetry_summary = Json::object();
-    const Json& pass = telemetry_doc.at("telemetry_pass");
-    telemetry_summary["snapshot_count"] = pass.at("snapshot_count").as_u64();
-    telemetry_summary["reconciliation_ok"] =
-        pass.at("reconciliation").at("ok").as_bool();
-    telemetry_summary["epoch_flip_ok"] = pass.at("epoch_flip").at("ok").as_bool();
-    telemetry_summary["overhead_ok"] = pass.at("overhead").at("ok").as_bool();
-    telemetry_summary["violations"] = telemetry_violated;
-    telemetry_doc["summary"] = std::move(telemetry_summary);
-  }
-  {
-    const int telemetry_rc =
-        write_file(options.out_dir + "/BENCH_telemetry.json", telemetry_doc);
-    if (telemetry_rc != 0) rc = telemetry_rc;
-  }
-
   if (!options.trace_path.empty()) {
+    trace.set_enabled(true);
+    {
+      ExtDictServer server(dict, batch_config(32, omp));
+      (void)closed_loop(server, pool, batch_requests);
+    }
+    trace.set_enabled(false);
     trace.set_metadata("mode", options.quick ? "quick" : "full");
-    const int trace_rc = write_file(options.trace_path, trace.to_chrome_json());
+    if (write_file(options.trace_path, trace.to_chrome_json()) != 0) rc = 1;
     const std::uint64_t dropped = trace.dropped_events();
     std::printf("trace: %llu events recorded, %llu dropped\n",
                 static_cast<unsigned long long>(trace.recorded_events()),
                 static_cast<unsigned long long>(dropped));
-    if (trace_rc != 0) rc = trace_rc;
     if (dropped != 0) {
       std::fprintf(stderr,
                    "error: trace dropped %llu events — raise the ring "
@@ -1533,40 +342,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (total_lost != 0 || !books_balance) {
+  if (!all_ok) {
     std::fprintf(stderr,
-                 "error: serving contract violated (lost=%llu balanced=%d)\n",
-                 static_cast<unsigned long long>(total_lost),
-                 books_balance ? 1 : 0);
-    return 1;
-  }
-  if (!batch_win) {
-    std::fprintf(stderr,
-                 "error: micro-batching failed to beat batch-size-1 "
-                 "(batch1 %.0f rps vs batch32 %.0f rps, paired speedup "
-                 "%.2fx)\n",
-                 batch1_rps, batch32_rps, batch_speedup);
-    return 1;
-  }
-  if (wire_violated) {
-    std::fprintf(stderr,
-                 "error: wire serving contract violated (see the \"wire\" "
+                 "error: a serving duel missed its floor (see the \"duels\" "
                  "section of BENCH_serve.json)\n");
     return 1;
   }
-  if (cache_violated) {
-    std::fprintf(stderr,
-                 "error: cache/extension contract violated (see "
-                 "BENCH_cache.json summary)\n");
-    return 1;
-  }
-  if (telemetry_violated) {
-    std::fprintf(stderr,
-                 "error: telemetry contract violated (see "
-                 "BENCH_telemetry.json summary)\n");
-    return 1;
-  }
-  std::printf("micro-batch amortization: %.0f -> %.0f rps (%.2fx)\n",
-              batch1_rps, batch32_rps, batch_speedup);
   return rc;
 }

@@ -183,6 +183,39 @@ TEST(ServerCache, RepeatHitsMatchDirectBatchOmp) {
   EXPECT_EQ(server.cache_stats().misses, 1u);
 }
 
+// Serial submit -> wait round trips make the hit count exact: a repeated
+// signal can only miss if its first occurrence has not been inserted yet,
+// which waiting rules out. So R requests over a P-signal pool score exactly
+// R - P hits and P misses, and only the P misses reach Batch-OMP.
+TEST(ServerCache, SerialRepeatsHitExactlyRequestsMinusPool) {
+  const Index m = 16, l = 48;
+  Rng rng(25);
+  const Matrix dict = rng.gaussian_matrix(m, l, true);
+  constexpr std::uint64_t kPool = 8, kRequests = 64;
+  ExtDictServer server(dict, {.max_batch = 8,
+                              .max_delay_us = 50,
+                              .workers = 2,
+                              .omp = {.tolerance = 0.0, .max_atoms = 4},
+                              // 8 shards of kPool entries: no eviction.
+                              .cache_capacity = 8 * kPool});
+  std::vector<Vector> pool;
+  for (std::uint64_t p = 0; p < kPool; ++p) {
+    pool.push_back(test_signal(m, 61 + static_cast<unsigned>(p)));
+  }
+
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    EXPECT_EQ(server.submit(pool[i % kPool]).get().cache_hit, i >= kPool);
+  }
+  server.stop();
+
+  const ServerStats s = server.stats();
+  EXPECT_EQ(s.submitted, kRequests);
+  EXPECT_EQ(s.cache_hits, kRequests - kPool);
+  EXPECT_EQ(s.served, kPool);
+  EXPECT_EQ(server.cache_stats().hits, kRequests - kPool);
+  EXPECT_EQ(server.cache_stats().misses, kPool);
+}
+
 TEST(ServerCache, PerRequestOverridesKeySeparately) {
   const Index m = 16, l = 48;
   Rng rng(22);

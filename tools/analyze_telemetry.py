@@ -1,14 +1,10 @@
 #!/usr/bin/env python3
 """Analyzer / CI gate for the live-serving telemetry stream.
 
-Dependency-free (stdlib json only). Reads either
-
-  * BENCH_telemetry.json — the run_server_bench document whose
-    telemetry_pass.snapshots[] embed flattened snapshot rows, or
-  * a raw .jsonl stream as written by util::TelemetrySnapshotter (one
-    insertion-ordered record {seq, wall_ms, counters, gauges,
-    window_quantiles} per line), e.g. telemetry_serve.jsonl from the bench
-    or the file passed to `extdict_cli serve --telemetry`.
+Dependency-free (stdlib json only). Reads a raw .jsonl stream as written by
+util::TelemetrySnapshotter (one insertion-ordered record {seq, wall_ms,
+counters, gauges, window_quantiles} per line), e.g. the file passed to
+`extdict_cli serve --telemetry` or `extdict_cli daemon --telemetry`.
 
 Default mode prints a human timeline: one row per snapshot with the gauge
 levels, the windowed/cumulative latency quantiles, and the reconciliation
@@ -19,8 +15,7 @@ residual, plus a closing summary.
   * seq is not a contiguous 0-based sequence or wall_ms runs backwards,
   * any snapshot's reconciliation residual — (queue_depth + inflight)
     minus (accepted - served - encode_failures - shed - discarded) —
-    exceeds the tolerance (embedded in the BENCH document, or --tolerance
-    for raw streams),
+    exceeds --tolerance (default 12),
   * the final snapshot of a drained stream is not exact (residual 0,
     queue_depth 0, inflight 0); pass --allow-live-tail for streams cut
     mid-load,
@@ -32,8 +27,8 @@ residual, plus a closing summary.
     histogram's log-bucket resolution and genuine load shifts.
 
 Usage:
-    tools/analyze_telemetry.py BENCH_telemetry.json
-    tools/analyze_telemetry.py --check out/BENCH_telemetry.json
+    tools/analyze_telemetry.py out/telemetry.jsonl
+    tools/analyze_telemetry.py --check out/telemetry.jsonl
     tools/analyze_telemetry.py --check --tolerance 16 out/telemetry.jsonl
 """
 
@@ -44,13 +39,13 @@ import sys
 from pathlib import Path
 
 WINDOW_HIST = "serve.latency.total_seconds"
+DEFAULT_TOLERANCE = 12
 QUANTILE_DRIFT_FACTOR = 4.0
 STATIONARY_MIN_COUNT = 50
 
 
 def flatten_record(record):
-    """Normalizes a raw snapshotter JSONL record to the flat row shape the
-    BENCH document embeds, so both inputs share one checking path."""
+    """Normalizes a raw snapshotter JSONL record to one flat row."""
     counters = record.get("counters", {})
     gauges = record.get("gauges", {})
     window = record.get("window_quantiles", {}).get(WINDOW_HIST, {})
@@ -90,21 +85,8 @@ def residual_of(row):
 
 
 def load(path):
-    """Returns (snapshots, tolerance_or_None). tolerance comes from the
-    BENCH document's embedded config; raw streams carry none."""
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        doc = None
-    if isinstance(doc, dict) and "telemetry_pass" in doc:
-        tele = doc["telemetry_pass"]
-        return tele.get("snapshots", []), tele.get("config", {}).get(
-            "tolerance")
-    if isinstance(doc, dict):  # a single JSONL record that parsed whole
-        return [flatten_record(doc)], None
     rows = []
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line:
             continue
@@ -112,7 +94,7 @@ def load(path):
             rows.append(flatten_record(json.loads(line)))
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {lineno}: not a JSON record: {exc}")
-    return rows, None
+    return rows
 
 
 def check(rows, tolerance, allow_live_tail):
@@ -125,10 +107,7 @@ def check(rows, tolerance, allow_live_tail):
                           "contiguous 0-based sequence")
         if i > 0 and row.get("wall_ms", 0) < rows[i - 1].get("wall_ms", 0):
             errors.append(f"snapshot {i}: wall_ms runs backwards")
-        res = row.get("residual", residual_of(row))
-        if res != residual_of(row):
-            errors.append(f"snapshot {i}: embedded residual {res} disagrees "
-                          f"with its own counters ({residual_of(row)})")
+        res = row["residual"]
         if abs(res) > tolerance:
             errors.append(f"snapshot {i}: residual {res} exceeds tolerance "
                           f"{tolerance} — gauges do not reconcile with the "
@@ -158,7 +137,7 @@ def check(rows, tolerance, allow_live_tail):
             errors.append("final snapshot still has queued or in-flight "
                           "requests — stream did not end drained "
                           "(--allow-live-tail to accept)")
-        if residual_of(final) != 0:
+        if final["residual"] != 0:
             errors.append("final snapshot residual is nonzero — a drained "
                           "server's books must close exactly")
     return errors
@@ -178,12 +157,11 @@ def print_timeline(rows):
               f"{row.get('window_count', 0):>6} "
               f"{row.get('window_p50', 0) * 1e6:>8.1f}u "
               f"{row.get('window_p99', 0) * 1e6:>8.1f}u "
-              f"{row.get('residual', residual_of(row)):>5}")
+              f"{row['residual']:>5}")
     flips = sum(1 for a, b in zip(rows, rows[1:])
                 if b.get("epoch", 0) > a.get("epoch", 0))
     span_ms = rows[-1].get("wall_ms", 0) - rows[0].get("wall_ms", 0)
-    worst = max((abs(row.get("residual", residual_of(row))) for row in rows),
-                default=0)
+    worst = max((abs(row["residual"]) for row in rows), default=0)
     print(f"\n{len(rows)} snapshots over {span_ms:.0f} ms, "
           f"{flips} epoch flip(s), max |residual| {worst}")
 
@@ -191,7 +169,7 @@ def print_timeline(rows):
 def main(argv):
     check_mode = False
     allow_live_tail = False
-    tolerance = None
+    tolerance = DEFAULT_TOLERANCE
     paths = []
     i = 1
     while i < len(argv):
@@ -216,23 +194,21 @@ def main(argv):
     ok = True
     for path in paths:
         try:
-            rows, embedded_tolerance = load(path)
+            rows = load(path)
         except (OSError, ValueError) as exc:
             print(f"FAIL {path}: {exc}")
             ok = False
             continue
-        effective = tolerance if tolerance is not None else (
-            embedded_tolerance if embedded_tolerance is not None else 12)
         if check_mode:
-            errors = check(rows, effective, allow_live_tail)
+            errors = check(rows, tolerance, allow_live_tail)
             for message in errors:
                 print(f"FAIL {path}: {message}")
             if not errors:
                 print(f"ok   {path}: {len(rows)} snapshots reconcile "
-                      f"(tolerance {effective})")
+                      f"(tolerance {tolerance})")
             ok &= not errors
         else:
-            print(f"== {path} (tolerance {effective})")
+            print(f"== {path} (tolerance {tolerance})")
             print_timeline(rows)
     return 0 if ok else 1
 

@@ -25,8 +25,8 @@ untagged host threads), tid = ring-buffer registration index, ts in
 microseconds. Waiting is recorded inside comm.recv / comm.barrier slices
 (the receive scope opens before the blocking mailbox pop).
 
-Serving-layer traces (bench/run_server_bench, src/serve/) have no rank
-lanes at all — worker threads stay on HOST_PID. For those, analysis reports
+Serving-layer traces (src/serve/; e.g. the traced batch-32 pass of
+bench/run_server_bench --trace) have no rank lanes at all — worker threads stay on HOST_PID. For those, analysis reports
 the serve.batch.* family instead: batches formed, columns per batch, and
 queue-wait vs encode-time attribution from the span args. Per-request
 serve.request.{submit,cache_hit,enqueue,dequeue,shed,resolve} instants,
