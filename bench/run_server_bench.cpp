@@ -20,6 +20,8 @@
 //   * snapshotter — a closed-loop pass shadowed by a 50 ms
 //     TelemetrySnapshotter against the same pass without one; ratio = with /
 //     without wall, must be <= 1.15, the bench's documented noise allowance.
+//     A calibration pass sizes each pass to span several sampling periods
+//     (4 at --quick, 10 in full), so samples land inside the timed window.
 //
 // The accounting identities (lost futures, exact cache hits, epoch flips,
 // snapshot reconciliation, wire books) are pinned by the gtest suite, not
@@ -37,6 +39,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -151,6 +154,8 @@ double serial_pass_seconds(const la::Matrix& dict, const OmpConfig& omp,
   return seconds_since(start);
 }
 
+constexpr int kSnapshotPeriodMs = 50;
+
 // One closed-loop pass, optionally shadowed by a live snapshotter on the
 // global registry. Returns the pass wall seconds.
 double snapshotter_pass_seconds(const la::Matrix& dict, const OmpConfig& omp,
@@ -164,7 +169,7 @@ double snapshotter_pass_seconds(const la::Matrix& dict, const OmpConfig& omp,
   std::optional<util::TelemetrySnapshotter> snapshotter;
   if (!snapshot_path.empty()) {
     snapshotter.emplace(util::MetricsRegistry::global(), snapshot_path,
-                        util::TelemetryOptions{.period_ms = 50});
+                        util::TelemetryOptions{.period_ms = kSnapshotPeriodMs});
   }
   return closed_loop(server, pool, requests).seconds;
 }
@@ -299,9 +304,15 @@ int main(int argc, char** argv) {
       },
       all_ok);
 
-  const int snapshot_requests = options.quick ? 600 : 1500;
   const std::string snapshot_path =
       options.out_dir + "/telemetry_overhead.jsonl";
+  const int calibration_requests = 600;
+  const double request_seconds =
+      snapshotter_pass_seconds(dict, omp, pool, calibration_requests, "") /
+      calibration_requests;
+  const double periods = options.quick ? 4 : 10;
+  const int snapshot_requests = static_cast<int>(std::ceil(
+      periods * kSnapshotPeriodMs * 1e-3 / std::max(request_seconds, 1e-9)));
   duels["snapshotter"] = run_duel(
       "snapshotter", options.quick ? 3 : 5, 1.15, Verdict::kAtMost,
       [&] {
@@ -313,6 +324,8 @@ int main(int argc, char** argv) {
                                         "");
       },
       all_ok);
+  duels["snapshotter"]["requests_per_pass"] =
+      static_cast<std::uint64_t>(snapshot_requests);
   doc["duels"] = std::move(duels);
 
   Json summary = Json::object();

@@ -21,7 +21,9 @@ DistExdResult exd_transform_distributed(const dist::Cluster& cluster,
   const ColumnPartition part{n, cluster.topology().total()};
 
   DistExdResult result;
-  const util::SpanTimer span("exd.transform_distributed");
+  const util::TraceScope phase(
+      util::MetricsRegistry::global().span("exd.transform_distributed"),
+      "exd.transform_distributed");
   util::Timer timer;
 
   // Per-rank outputs stitched together after the run. Each rank writes only
@@ -88,7 +90,8 @@ DistExdResult exd_transform_distributed(const dist::Cluster& cluster,
           rows.push_back(atom);
           values.push_back(coeff);
         }
-        comm.cost().add_flops(coder.encode_flops(code.nnz()));
+        // Metered: encode_flops(nnz) holds only for clean runs.
+        comm.cost().add_flops(code.flops);
       }
     }
 

@@ -5,7 +5,6 @@
 
 #include "la/blas.hpp"
 #include "util/contracts.hpp"
-#include "util/metrics.hpp"
 #include "util/trace.hpp"
 
 namespace extdict::core {
@@ -39,7 +38,10 @@ void normalize_distributed(dist::Communicator& comm, std::span<Real> local) {
 class OriginalStep {
  public:
   OriginalStep(dist::Communicator& comm, const Matrix& a)
-      : comm_(comm), a_(a), u_(static_cast<std::size_t>(a.rows())) {
+      : comm_(comm),
+        a_(a),
+        u_(static_cast<std::size_t>(a.rows())),
+        update_span_(util::MetricsRegistry::global().span(kSpanUpdate)) {
     const ColumnPartition part{a.cols(), comm.size()};
     b_ = part.begin(comm.rank());
     e_ = part.end(comm.rank());
@@ -56,9 +58,8 @@ class OriginalStep {
   }
 
   void apply(std::span<const Real> x_local, std::span<Real> out_local) {
-    const util::SpanTimer update_span(kSpanUpdate);
-    const util::TraceScope update_trace(util::TraceRecorder::global(),
-                                        kSpanUpdate, "iteration", applies_++);
+    const util::TraceScope update_scope(update_span_, kSpanUpdate, "iteration",
+                                        applies_++);
     // u = Σ_i A_i x_i.
     std::fill(u_.begin(), u_.end(), Real{0});
     for (Index j = b_; j < e_; ++j) {
@@ -82,6 +83,7 @@ class OriginalStep {
   Index b_ = 0, e_ = 0;
   std::uint64_t update_flops_ = 0;
   std::uint64_t applies_ = 0;
+  util::MetricsRegistry::Span& update_span_;
 };
 
 // The SPMD loop both iterated products share: every rank builds its Step
@@ -97,11 +99,12 @@ DistGramResult iterate(const dist::Cluster& cluster, const la::Vector& x0,
 
   std::atomic<std::uint64_t> update_flops{0};
   util::MetricsRegistry& metrics = util::MetricsRegistry::global();
+  util::MetricsRegistry::Span& rank_span = metrics.span(kSpanRank);
+  util::MetricsRegistry::Span& normalize_span = metrics.span(kSpanNormalize);
+  util::MetricsRegistry::Span& gather_span = metrics.span(kSpanGather);
 
   result.stats = cluster.run([&](dist::Communicator& comm) {
-    const util::SpanTimer rank_span(metrics, kSpanRank);
-    const util::TraceScope rank_trace(util::TraceRecorder::global(),
-                                      kSpanRank);
+    const util::TraceScope rank_scope(rank_span, kSpanRank);
     const Index rank = comm.rank();
     Step step(comm, args...);
 
@@ -117,17 +120,14 @@ DistGramResult iterate(const dist::Cluster& cluster, const la::Vector& x0,
                            "dist_gram: x after iteration " +
                                std::to_string(it) + " on rank " +
                                std::to_string(rank));
-      const util::SpanTimer normalize_span(metrics, kSpanNormalize);
-      const util::TraceScope normalize_trace(util::TraceRecorder::global(),
-                                             kSpanNormalize, "iteration",
+      const util::TraceScope normalize_scope(normalize_span, kSpanNormalize,
+                                             "iteration",
                                              static_cast<std::uint64_t>(it));
       normalize_distributed(comm, x_local);
     }
 
     // Collect the distributed result on rank 0.
-    const util::SpanTimer gather_span(metrics, kSpanGather);
-    const util::TraceScope gather_trace(util::TraceRecorder::global(),
-                                        kSpanGather);
+    const util::TraceScope gather_scope(gather_span, kSpanGather);
     const la::Vector gathered = comm.gather(0, std::span<const Real>(x_local));
     if (rank == 0) std::copy(gathered.begin(), gathered.end(), result.y.begin());
     update_flops += step.update_flops();
@@ -142,7 +142,11 @@ DistGramResult iterate(const dist::Cluster& cluster, const la::Vector& x0,
 
 DistGramStep::DistGramStep(dist::Communicator& comm, const Matrix& d,
                            const CscMatrix& c, GramStrategy strategy)
-    : comm_(comm), d_(d), c_(c), strategy_(strategy) {
+    : comm_(comm),
+      d_(d),
+      c_(c),
+      strategy_(strategy),
+      update_span_(util::MetricsRegistry::global().span(kSpanUpdate)) {
   EXTDICT_REQUIRE_SHAPE(c.rows() == d.cols(),
                         "DistGramStep: D/C shape mismatch");
   const Index m = d.rows();
@@ -195,9 +199,8 @@ void DistGramStep::charge(std::uint64_t flops) {
 
 void DistGramStep::apply(std::span<const Real> x_local,
                          std::span<Real> out_local) {
-  const util::SpanTimer update_span(kSpanUpdate);
-  const util::TraceScope update_trace(util::TraceRecorder::global(),
-                                      kSpanUpdate, "iteration", applies_++);
+  const util::TraceScope update_scope(update_span_, kSpanUpdate, "iteration",
+                                      applies_++);
   const Index m = d_.rows();
   const Index l = d_.cols();
   // Step 1: v1_i = C_i x_i.

@@ -7,6 +7,7 @@
 #include "la/csc_matrix.hpp"
 #include "la/matrix.hpp"
 #include "la/types.hpp"
+#include "util/metrics.hpp"
 
 namespace extdict::core {
 
@@ -84,7 +85,8 @@ enum class GramStrategy {
 ///   out_i = C_iᵀ Dᵀ D Σ_j C_j x_j   (SpMV → reduce → D/Dᵀ → broadcast → SpMVᵀ).
 /// The step owns the scratch, the strategy (kAuto resolved once: replicated
 /// when L > M, partitioned otherwise), the FLOP charging and the
-/// `dist_gram.update` span, whose `iteration` arg is the step's apply count.
+/// `dist_gram.update` span (resolved at construction; its trace `iteration`
+/// arg is the step's apply count).
 class DistGramStep {
  public:
   DistGramStep(dist::Communicator& comm, const Matrix& d, const CscMatrix& c,
@@ -119,6 +121,7 @@ class DistGramStep {
   std::uint64_t update_flops_ = 0;
   std::uint64_t applies_ = 0;
   la::Vector v1_, v2_, v3_;
+  util::MetricsRegistry::Span& update_span_;  // resolved once, per rank
 };
 
 /// Algorithm 2: `iterations` successive Gram updates x <- (DC)ᵀDC·x on the

@@ -8,6 +8,7 @@
 #include "util/contracts.hpp"
 #include "util/metrics.hpp"
 #include "util/timer.hpp"
+#include "util/trace.hpp"
 
 namespace extdict::core {
 
@@ -32,7 +33,8 @@ ExdResult exd_transform_with_dictionary(const Matrix& a, Matrix dictionary,
   EXTDICT_CHECK_FINITE(
       std::span<const Real>(a.data(), static_cast<std::size_t>(a.size())),
       "exd_transform: data matrix");
-  const util::SpanTimer span("exd.transform");
+  const util::TraceScope phase(
+      util::MetricsRegistry::global().span("exd.transform"), "exd.transform");
   util::Timer timer;
 
   sparsecoding::OmpConfig omp;

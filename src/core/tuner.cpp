@@ -4,6 +4,7 @@
 
 #include "util/metrics.hpp"
 #include "util/timer.hpp"
+#include "util/trace.hpp"
 
 namespace extdict::core {
 
@@ -24,7 +25,8 @@ double objective_value(Objective objective, Index m, Index l, Real alpha,
 
 TunerResult tune(const Matrix& a, const dist::PlatformSpec& platform,
                  const TunerConfig& config) {
-  const util::SpanTimer span("tuner.tune");
+  const util::TraceScope phase(
+      util::MetricsRegistry::global().span("tuner.tune"), "tuner.tune");
   util::Timer timer;
   TunerResult result;
   if (config.subset_sizes.empty()) {

@@ -50,6 +50,10 @@ ReplyFrame reply_from_future(std::uint64_t wire_id,
   return reply;
 }
 
+util::MetricsRegistry::Counter& counter(std::string_view name) {
+  return util::MetricsRegistry::global().counter(name);
+}
+
 }  // namespace
 
 std::array<int, 2> Daemon::make_wake_pipe() {
@@ -73,7 +77,17 @@ Daemon::Daemon(std::shared_ptr<serve::ExtDictServer> server,
                    : config_.reply_queue_capacity,
                serve::BackpressurePolicy::kBlock),
       connections_gauge_(
-          util::MetricsRegistry::global().gauge("net.connections")) {
+          util::MetricsRegistry::global().gauge("net.connections")),
+      wire_latency_(util::MetricsRegistry::global().distribution(
+          "net.latency.wire_seconds")),
+      connections_accepted_(counter("net.connections.accepted")),
+      connections_refused_(counter("net.connections.refused")),
+      frames_received_(counter("net.frames.rx")),
+      malformed_closes_(counter("net.malformed")),
+      replies_sent_(counter("net.replies.tx")),
+      reply_write_failures_(counter("net.reply_write_failures")),
+      bytes_rx_(counter("net.bytes.rx")),
+      bytes_tx_(counter("net.bytes.tx")) {
   if (!server_) {
     throw std::invalid_argument("extdict::net::Daemon: null server");
   }
@@ -121,16 +135,14 @@ void Daemon::poll_loop() {
     if (fds[index].revents != 0) {
       if (auto accepted = accept_on(listener_, config_.send_timeout_ms)) {
         if (conns_.size() < config_.max_connections) {
-          connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-          util::MetricsRegistry::global().add("net.connections.accepted", 1);
+          connections_accepted_.add(1);
           connections_gauge_.add(1);
           conns_.push_back(std::make_shared<Connection>(std::move(*accepted)));
         } else {
           // Over the cap the arrival is refused outright (immediate close,
           // which the peer sees as EOF/RST on its first read) rather than
           // parked half-alive — the same fail-fast shape as kReject.
-          connections_refused_.fetch_add(1, std::memory_order_relaxed);
-          util::MetricsRegistry::global().add("net.connections.refused", 1);
+          connections_refused_.add(1);
         }
       }
     }
@@ -153,13 +165,11 @@ void Daemon::poll_loop() {
         if (got == 0) {
           alive = false;  // peer closed; pending replies fail their writes
         } else {
-          bytes_rx_.fetch_add(got, std::memory_order_relaxed);
-          util::MetricsRegistry::global().add("net.bytes.rx", got);
+          bytes_rx_.add(got);
           conn->rx.insert(conn->rx.end(), scratch.begin(),
                           scratch.begin() + static_cast<std::ptrdiff_t>(got));
           if (!drain_frames(conn)) {
-            malformed_closes_.fetch_add(1, std::memory_order_relaxed);
-            util::MetricsRegistry::global().add("net.malformed", 1);
+            malformed_closes_.add(1);
             conn->socket.shutdown_both();
             alive = false;
           }
@@ -198,8 +208,7 @@ bool Daemon::drain_frames(const std::shared_ptr<Connection>& conn) {
 
 void Daemon::dispatch(const std::shared_ptr<Connection>& conn,
                       RequestFrame frame) {
-  frames_received_.fetch_add(1, std::memory_order_relaxed);
-  util::MetricsRegistry::global().add("net.frames.rx", 1);
+  frames_received_.add(1);
   PendingReply pending;
   pending.conn = conn;
   pending.wire_id = frame.request_id;
@@ -239,7 +248,6 @@ void Daemon::dispatch(const std::shared_ptr<Connection>& conn,
 }
 
 void Daemon::writer_loop() {
-  util::MetricsRegistry& metrics = util::MetricsRegistry::global();
   std::vector<std::uint8_t> buffer;
   while (auto item = pending_.pop()) {
     // Futures resolve in batch order, which tracks arrival order; waiting
@@ -254,18 +262,13 @@ void Daemon::writer_loop() {
                                             item->server_id);
     }
     if (write_all(item->conn->socket.fd(), buffer.data(), buffer.size())) {
-      replies_sent_.fetch_add(1, std::memory_order_relaxed);
-      bytes_tx_.fetch_add(buffer.size(), std::memory_order_relaxed);
-      metrics.add("net.replies.tx", 1);
-      metrics.add("net.bytes.tx", buffer.size());
-      const double wire_seconds =
+      replies_sent_.add(1);
+      bytes_tx_.add(buffer.size());
+      wire_latency_.observe(
           std::chrono::duration<double>(Clock::now() - item->received_at)
-              .count();
-      metrics.observe("net.latency.wire_seconds", wire_seconds);
-      metrics.observe_windowed("net.latency.wire_seconds", wire_seconds);
+              .count());
     } else {
-      reply_write_failures_.fetch_add(1, std::memory_order_relaxed);
-      metrics.add("net.reply_write_failures", 1);
+      reply_write_failures_.add(1);
     }
   }
 }
@@ -299,18 +302,16 @@ void Daemon::stop(serve::StopMode mode) {
 
 DaemonStats Daemon::stats() const noexcept {
   DaemonStats s;
-  s.connections_accepted =
-      connections_accepted_.load(std::memory_order_relaxed);
-  s.connections_refused = connections_refused_.load(std::memory_order_relaxed);
-  s.frames_received = frames_received_.load(std::memory_order_relaxed);
-  s.malformed_closes = malformed_closes_.load(std::memory_order_relaxed);
+  s.connections_accepted = connections_accepted_.value();
+  s.connections_refused = connections_refused_.value();
+  s.frames_received = frames_received_.value();
+  s.malformed_closes = malformed_closes_.value();
   s.invalid_payloads = invalid_payloads_.load(std::memory_order_relaxed);
   s.submitted = submitted_.load(std::memory_order_relaxed);
-  s.replies_sent = replies_sent_.load(std::memory_order_relaxed);
-  s.reply_write_failures =
-      reply_write_failures_.load(std::memory_order_relaxed);
-  s.bytes_rx = bytes_rx_.load(std::memory_order_relaxed);
-  s.bytes_tx = bytes_tx_.load(std::memory_order_relaxed);
+  s.replies_sent = replies_sent_.value();
+  s.reply_write_failures = reply_write_failures_.value();
+  s.bytes_rx = bytes_rx_.value();
+  s.bytes_tx = bytes_tx_.value();
   return s;
 }
 

@@ -173,24 +173,24 @@ class Daemon {
   // pending-FIFO close so concurrent stops serialize on the complete
   // shutdown. Neither worker thread ever touches stop_mu_, so the joins
   // only serialize the stoppers. Outgoing ordering edges: the wrapped
-  // server's stop_mu_ (and transitively its queue + metrics-registry
-  // mutexes), plus this daemon's own pending-FIFO mutex on close.
+  // server's stop_mu_ (and transitively its queue mutex), plus this
+  // daemon's own pending-FIFO mutex on close.
   // extdict-analyze: non-leaf(Daemon::stop_mu_ -> ExtDictServer::stop_mu_)
   // extdict-analyze: non-leaf(Daemon::stop_mu_ -> BoundedQueue::mu_)
-  // extdict-analyze: non-leaf(Daemon::stop_mu_ -> MetricsRegistry::mu_)
   util::Mutex stop_mu_;
   bool stopped_ EXTDICT_GUARDED_BY(stop_mu_) = false;
 
-  // Live wire gauge, resolved once from the global registry (cell reference
-  // stays valid for its lifetime); ungated by the enabled switch so +/-
-  // pairs stay balanced, matching the serve.* gauges.
+  // Registry cells, resolved once here so neither loop thread takes the
+  // registry's name-map lock. The gauge is ungated by the enabled switch so
+  // +/- pairs stay balanced, matching the serve.* gauges.
   util::Gauge& connections_gauge_;
+  util::MetricsRegistry::Distribution& wire_latency_;
 
-  // stats() cells (always-on, independent of the metrics registry switch).
-  std::atomic<std::uint64_t> connections_accepted_{0}, connections_refused_{0},
-      frames_received_{0}, malformed_closes_{0}, invalid_payloads_{0},
-      submitted_{0}, replies_sent_{0}, reply_write_failures_{0}, bytes_rx_{0},
-      bytes_tx_{0};
+  // stats() cells; all but two are paired with their net.* counter.
+  util::Tally connections_accepted_, connections_refused_, frames_received_,
+      malformed_closes_, replies_sent_, reply_write_failures_, bytes_rx_,
+      bytes_tx_;
+  std::atomic<std::uint64_t> invalid_payloads_{0}, submitted_{0};
 };
 
 }  // namespace extdict::net

@@ -34,7 +34,17 @@ bool EncodeCacheKey::operator==(const EncodeCacheKey& other) const noexcept {
 }
 
 EncodeCache::EncodeCache(std::size_t capacity, std::size_t shards)
-    : capacity_(std::max<std::size_t>(capacity, 1)) {
+    : capacity_(std::max<std::size_t>(capacity, 1)),
+      hits_(util::MetricsRegistry::global().counter("serve.cache.hits")),
+      misses_(util::MetricsRegistry::global().counter("serve.cache.misses")),
+      insertions_(
+          util::MetricsRegistry::global().counter("serve.cache.insertions")),
+      evictions_(
+          util::MetricsRegistry::global().counter("serve.cache.evictions")),
+      entries_gauge_(
+          util::MetricsRegistry::global().gauge("serve.cache.entries")),
+      resident_bytes_gauge_(
+          util::MetricsRegistry::global().gauge("serve.cache.resident_bytes")) {
   const std::size_t n = std::clamp<std::size_t>(shards, 1, capacity_);
   const std::size_t per_shard = (capacity_ + n - 1) / n;  // ceil
   shards_.reserve(n);
@@ -48,11 +58,9 @@ EncodeCache::~EncodeCache() {
   // The occupancy gauges are process-global but this cache's entries die
   // with it: return the levels so a later server starts from zero instead
   // of inheriting a phantom footprint.
-  util::MetricsRegistry& metrics = util::MetricsRegistry::global();
-  metrics.gauge("serve.cache.entries")
-      .sub(static_cast<std::int64_t>(entries_.load(std::memory_order_relaxed)));
-  metrics.gauge("serve.cache.resident_bytes")
-      .sub(resident_bytes_.load(std::memory_order_relaxed));
+  entries_gauge_.sub(
+      static_cast<std::int64_t>(entries_.load(std::memory_order_relaxed)));
+  resident_bytes_gauge_.sub(resident_bytes_.load(std::memory_order_relaxed));
 }
 
 std::uint64_t EncodeCache::entry_bytes(const Entry& entry) noexcept {
@@ -77,16 +85,7 @@ std::optional<sparsecoding::SparseCode> EncodeCache::lookup(
       }
     }
   }
-  // Accounting after the lock: shard.mu stays a leaf (MetricsRegistry::add
-  // takes the registry's own mutex for name resolution).
-  util::MetricsRegistry& metrics = util::MetricsRegistry::global();
-  if (found.has_value()) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    metrics.add("serve.cache.hits", 1);
-  } else {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    metrics.add("serve.cache.misses", 1);
-  }
+  (found.has_value() ? hits_ : misses_).add(1);
   return found;
 }
 
@@ -134,32 +133,26 @@ void EncodeCache::insert(const EncodeCacheKey& key,
       inserted = true;
     }
   }
-  // Accounting after the lock, as in lookup(): shard.mu stays a leaf.
-  util::MetricsRegistry& metrics = util::MetricsRegistry::global();
   if (inserted) {
-    insertions_.fetch_add(1, std::memory_order_relaxed);
-    metrics.add("serve.cache.insertions", 1);
+    insertions_.add(1);
     if (!evicted) {
       entries_.fetch_add(1, std::memory_order_relaxed);
-      metrics.gauge("serve.cache.entries").add(1);
+      entries_gauge_.add(1);
     }
   }
-  if (evicted) {
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    metrics.add("serve.cache.evictions", 1);
-  }
+  if (evicted) evictions_.add(1);
   if (bytes_delta != 0) {
     resident_bytes_.fetch_add(bytes_delta, std::memory_order_relaxed);
-    metrics.gauge("serve.cache.resident_bytes").add(bytes_delta);
+    resident_bytes_gauge_.add(bytes_delta);
   }
 }
 
 EncodeCacheStats EncodeCache::stats() const noexcept {
   EncodeCacheStats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.insertions = insertions_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
+  s.hits = hits_.value();
+  s.misses = misses_.value();
+  s.insertions = insertions_.value();
+  s.evictions = evictions_.value();
   s.entries = entries_.load(std::memory_order_relaxed);
   const std::int64_t bytes = resident_bytes_.load(std::memory_order_relaxed);
   s.resident_bytes = bytes > 0 ? static_cast<std::uint64_t>(bytes) : 0;

@@ -11,6 +11,7 @@
 
 #include "la/types.hpp"
 #include "sparsecoding/omp.hpp"
+#include "util/metrics.hpp"
 #include "util/sync.hpp"
 
 namespace extdict::serve {
@@ -59,9 +60,8 @@ struct EncodeCacheStats {
 /// `stats()`), the `serve.cache.*` counters, and the occupancy gauges
 /// (`serve.cache.entries`, `serve.cache.resident_bytes` — live levels for
 /// the telemetry snapshotter) in `MetricsRegistry::global()` are all updated
-/// on every lookup/insert/evict. Metrics calls happen strictly after the
-/// shard lock is released — every mutex here stays a leaf of the lock-order
-/// graph.
+/// on every lookup/insert/evict, through cells resolved at construction.
+/// Accounting happens after the shard lock is released.
 class EncodeCache {
  public:
   /// `capacity` is the total entry budget across all shards (rounded up to
@@ -116,9 +116,11 @@ class EncodeCache {
   // unique_ptr: Shard owns a Mutex and is therefore pinned in memory.
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  std::atomic<std::uint64_t> hits_{0}, misses_{0}, insertions_{0},
-      evictions_{0}, entries_{0};
+  util::Tally hits_, misses_, insertions_, evictions_;
+  std::atomic<std::uint64_t> entries_{0};
   std::atomic<std::int64_t> resident_bytes_{0};
+  util::Gauge& entries_gauge_;
+  util::Gauge& resident_bytes_gauge_;
 };
 
 }  // namespace extdict::serve

@@ -22,6 +22,18 @@ void fail(std::promise<EncodeResult>& promise, std::exception_ptr error) {
   promise.set_exception(std::move(error));
 }
 
+util::MetricsRegistry::Counter& counter(std::string_view name) {
+  return util::MetricsRegistry::global().counter(name);
+}
+
+util::Gauge& gauge(std::string_view name) {
+  return util::MetricsRegistry::global().gauge(name);
+}
+
+util::MetricsRegistry::Distribution& distribution(std::string_view name) {
+  return util::MetricsRegistry::global().distribution(name);
+}
+
 }  // namespace
 
 ServerConfig ExtDictServer::sanitized(ServerConfig config) noexcept {
@@ -44,11 +56,24 @@ ExtDictServer::ExtDictServer(std::shared_ptr<DictRegistry> registry,
                                                  config_.cache_shards)
                  : nullptr),
       queue_(config.queue_capacity, config.backpressure),
-      queue_depth_gauge_(
-          util::MetricsRegistry::global().gauge("serve.queue.depth")),
-      inflight_gauge_(util::MetricsRegistry::global().gauge("serve.inflight")),
-      busy_workers_gauge_(
-          util::MetricsRegistry::global().gauge("serve.workers.busy")) {
+      queue_depth_gauge_(gauge("serve.queue.depth")),
+      inflight_gauge_(gauge("serve.inflight")),
+      busy_workers_gauge_(gauge("serve.workers.busy")),
+      queue_latency_(distribution("serve.latency.queue_seconds")),
+      encode_latency_(distribution("serve.latency.encode_seconds")),
+      total_latency_(distribution("serve.latency.total_seconds")),
+      submitted_(counter("serve.submitted")),
+      invalid_(counter("serve.invalid")),
+      rejected_(counter("serve.rejected")),
+      stopped_rejects_(counter("serve.stopped_rejects")),
+      cache_hits_(counter("serve.cache_hits")),
+      accepted_(counter("serve.accepted")),
+      shed_(counter("serve.shed")),
+      discarded_(counter("serve.discarded")),
+      served_(counter("serve.served")),
+      encode_failed_(counter("serve.encode_failures")),
+      batches_(counter("serve.batches")),
+      columns_encoded_(counter("serve.columns")) {
   if (!registry_) {
     throw std::invalid_argument("ExtDictServer: null dictionary registry");
   }
@@ -75,14 +100,11 @@ std::future<EncodeResult> ExtDictServer::submit(std::span<const Real> signal,
 
 ExtDictServer::SubmitTicket ExtDictServer::submit_traced(
     std::span<const Real> signal, const EncodeOptions& options) {
-  util::MetricsRegistry& metrics = util::MetricsRegistry::global();
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  metrics.add("serve.submitted", 1);
+  submitted_.add(1);
 
   if (signal.empty() ||
       static_cast<Index>(signal.size()) != registry_->signal_dim()) {
-    invalid_.fetch_add(1, std::memory_order_relaxed);
-    metrics.add("serve.invalid", 1);
+    invalid_.add(1);
     std::promise<EncodeResult> promise;
     SubmitTicket ticket{promise.get_future(), kNoRequestId};
     fail(promise, std::make_exception_ptr(InvalidRequest(
@@ -103,8 +125,7 @@ ExtDictServer::SubmitTicket ExtDictServer::submit_traced(
                                         request.id);
 
   if (!accepting()) {
-    stopped_rejects_.fetch_add(1, std::memory_order_relaxed);
-    metrics.add("serve.stopped_rejects", 1);
+    stopped_rejects_.add(1);
     fail(request.promise, std::make_exception_ptr(ServerStopped()));
     return ticket;
   }
@@ -120,8 +141,7 @@ ExtDictServer::SubmitTicket ExtDictServer::submit_traced(
     key.tolerance = effective.tolerance;
     key.max_atoms = effective.max_atoms;
     if (auto code = cache_->lookup(key)) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      metrics.add("serve.cache_hits", 1);
+      cache_hits_.add(1);
       util::TraceRecorder::global().instant("serve.request.cache_hit", "req",
                                             request.id);
       EncodeResult result;
@@ -138,15 +158,13 @@ ExtDictServer::SubmitTicket ExtDictServer::submit_traced(
   auto outcome = queue_.push(std::move(request));
   switch (outcome.status) {
     case PushStatus::kAccepted:
-      accepted_.fetch_add(1, std::memory_order_relaxed);
+      accepted_.add(1);
       queue_depth_gauge_.add(1);
-      metrics.add("serve.accepted", 1);
       util::TraceRecorder::global().instant("serve.request.enqueue", "req",
                                             request_id);
       if (outcome.shed.has_value()) {
-        shed_.fetch_add(1, std::memory_order_relaxed);
+        shed_.add(1);
         queue_depth_gauge_.sub(1);  // the shed victim left the queue
-        metrics.add("serve.shed", 1);
         util::TraceRecorder::global().instant("serve.request.shed", "req",
                                               outcome.shed->id);
         fail(outcome.shed->promise, std::make_exception_ptr(RequestShed()));
@@ -154,13 +172,11 @@ ExtDictServer::SubmitTicket ExtDictServer::submit_traced(
       break;
     case PushStatus::kRejected:
       // push() did not consume the request — its promise is still ours.
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      metrics.add("serve.rejected", 1);
+      rejected_.add(1);
       fail(request.promise, std::make_exception_ptr(RequestRejected()));
       break;
     case PushStatus::kClosed:
-      stopped_rejects_.fetch_add(1, std::memory_order_relaxed);
-      metrics.add("serve.stopped_rejects", 1);
+      stopped_rejects_.add(1);
       fail(request.promise, std::make_exception_ptr(ServerStopped()));
       break;
   }
@@ -205,7 +221,6 @@ void ExtDictServer::worker_loop() {
 }
 
 void ExtDictServer::encode_batch(std::vector<Request>& batch) {
-  util::MetricsRegistry& metrics = util::MetricsRegistry::global();
   const util::GaugeGuard busy(busy_workers_gauge_);
   const Index columns = static_cast<Index>(batch.size());
   const auto flush_at = Clock::now();
@@ -244,35 +259,24 @@ void ExtDictServer::encode_batch(std::vector<Request>& batch) {
   }
   const double encode_s = seconds_between(flush_at, Clock::now());
 
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  columns_encoded_.fetch_add(static_cast<std::uint64_t>(columns),
-                             std::memory_order_relaxed);
+  batches_.add(1);
+  columns_encoded_.add(static_cast<std::uint64_t>(columns));
   std::uint64_t seen = max_batch_columns_.load(std::memory_order_relaxed);
   while (seen < static_cast<std::uint64_t>(columns) &&
          !max_batch_columns_.compare_exchange_weak(
              seen, static_cast<std::uint64_t>(columns),
              std::memory_order_relaxed)) {
   }
-  metrics.add("serve.batches", 1);
-  metrics.add("serve.columns", static_cast<std::uint64_t>(columns));
 
-  std::uint64_t served_in_batch = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    metrics.observe("serve.latency.queue_seconds", queue_seconds[i]);
-    metrics.observe("serve.latency.encode_seconds", encode_s);
-    metrics.observe("serve.latency.total_seconds", queue_seconds[i] + encode_s);
-    // Windowed twins of the latency histograms: same observations, but
-    // `window_quantile` answers over the last few seconds only.
-    metrics.observe_windowed("serve.latency.queue_seconds", queue_seconds[i]);
-    metrics.observe_windowed("serve.latency.encode_seconds", encode_s);
-    metrics.observe_windowed("serve.latency.total_seconds",
-                             queue_seconds[i] + encode_s);
+    queue_latency_.observe(queue_seconds[i]);
+    encode_latency_.observe(encode_s);
+    total_latency_.observe(queue_seconds[i] + encode_s);
     util::TraceRecorder::global().instant("serve.request.resolve", "req",
                                           batch[i].id);
     if (errors[i]) {
-      encode_failed_.fetch_add(1, std::memory_order_relaxed);
+      encode_failed_.add(1);
       inflight_gauge_.sub(1);
-      metrics.add("serve.encode_failures", 1);
       fail(batch[i].promise, std::move(errors[i]));
       continue;
     }
@@ -296,12 +300,10 @@ void ExtDictServer::encode_batch(std::vector<Request>& batch) {
     result.queue_seconds = queue_seconds[i];
     result.encode_seconds = encode_s;
     result.dict_epoch = epoch->id;
-    served_.fetch_add(1, std::memory_order_relaxed);
+    served_.add(1);
     inflight_gauge_.sub(1);
-    ++served_in_batch;
     batch[i].promise.set_value(std::move(result));
   }
-  metrics.add("serve.served", served_in_batch);
 }
 
 void ExtDictServer::stop(StopMode mode) {
@@ -312,11 +314,9 @@ void ExtDictServer::stop(StopMode mode) {
     queue_.close();
   } else {
     auto leftovers = queue_.close_and_drain();
-    util::MetricsRegistry& metrics = util::MetricsRegistry::global();
     for (auto& request : leftovers) {
-      discarded_.fetch_add(1, std::memory_order_relaxed);
+      discarded_.add(1);
       queue_depth_gauge_.sub(1);  // discarded requests leave the queue too
-      metrics.add("serve.discarded", 1);
       fail(request.promise, std::make_exception_ptr(ServerStopped()));
     }
   }
@@ -331,18 +331,18 @@ void ExtDictServer::stop(StopMode mode) {
 
 ServerStats ExtDictServer::stats() const noexcept {
   ServerStats s;
-  s.submitted = submitted_.load(std::memory_order_relaxed);
-  s.invalid = invalid_.load(std::memory_order_relaxed);
-  s.rejected = rejected_.load(std::memory_order_relaxed);
-  s.stopped = stopped_rejects_.load(std::memory_order_relaxed);
-  s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  s.accepted = accepted_.load(std::memory_order_relaxed);
-  s.shed = shed_.load(std::memory_order_relaxed);
-  s.discarded = discarded_.load(std::memory_order_relaxed);
-  s.served = served_.load(std::memory_order_relaxed);
-  s.encode_failed = encode_failed_.load(std::memory_order_relaxed);
-  s.batches = batches_.load(std::memory_order_relaxed);
-  s.columns_encoded = columns_encoded_.load(std::memory_order_relaxed);
+  s.submitted = submitted_.value();
+  s.invalid = invalid_.value();
+  s.rejected = rejected_.value();
+  s.stopped = stopped_rejects_.value();
+  s.cache_hits = cache_hits_.value();
+  s.accepted = accepted_.value();
+  s.shed = shed_.value();
+  s.discarded = discarded_.value();
+  s.served = served_.value();
+  s.encode_failed = encode_failed_.value();
+  s.batches = batches_.value();
+  s.columns_encoded = columns_encoded_.value();
   s.max_batch_columns = max_batch_columns_.load(std::memory_order_relaxed);
   return s;
 }

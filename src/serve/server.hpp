@@ -271,33 +271,34 @@ class ExtDictServer {
   std::atomic<bool> accepting_{true};
   std::atomic<std::uint64_t> next_id_{0};
 
-  // Live gauges, resolved once from the global registry (cell references
-  // stay valid for its lifetime). Deliberately ungated by the registry's
-  // enabled switch: the +/- pairs must stay balanced across mid-run toggles
-  // or the levels would drift. Process-wide names — concurrent servers sum
-  // into the same cells, as with the serve.* counters.
+  // Registry cells, resolved once here so no request path takes the
+  // registry's name-map lock. Process-wide names — concurrent servers sum
+  // into the same cells. The gauges are deliberately ungated by the
+  // registry's enabled switch: the +/- pairs must stay balanced across
+  // mid-run toggles or the levels would drift.
   util::Gauge& queue_depth_gauge_;
   util::Gauge& inflight_gauge_;
   util::Gauge& busy_workers_gauge_;
+  util::MetricsRegistry::Distribution& queue_latency_;
+  util::MetricsRegistry::Distribution& encode_latency_;
+  util::MetricsRegistry::Distribution& total_latency_;
 
   // NOT a leaf lock (documented exception to the util/sync.hpp policy):
   // stop() holds it across queue close and worker join so concurrent stops
   // serialize on the complete shutdown. No other path acquires both, and
-  // workers never touch stop_mu_. The two outgoing ordering edges — the
-  // queue's mutex (close / close_and_drain) and the metrics registry's
-  // (discard accounting) — are declared below; `tools/extdict-analyze.py`
-  // fails the build if the extracted lock-order graph ever grows an edge
-  // not declared here.
+  // workers never touch stop_mu_. The one outgoing ordering edge — the
+  // queue's mutex (close / close_and_drain) — is declared below;
+  // `tools/extdict-analyze.py` fails the build if the extracted lock-order
+  // graph ever grows an edge not declared here.
   // extdict-analyze: non-leaf(ExtDictServer::stop_mu_ -> BoundedQueue::mu_)
-  // extdict-analyze: non-leaf(ExtDictServer::stop_mu_ -> MetricsRegistry::mu_)
   util::Mutex stop_mu_;
   bool stopped_ EXTDICT_GUARDED_BY(stop_mu_) = false;
 
-  // stats() cells (always-on, independent of the metrics registry switch).
-  std::atomic<std::uint64_t> submitted_{0}, invalid_{0}, rejected_{0},
-      stopped_rejects_{0}, cache_hits_{0}, accepted_{0}, shed_{0},
-      discarded_{0}, served_{0}, encode_failed_{0}, batches_{0},
-      columns_encoded_{0}, max_batch_columns_{0};
+  // stats() cells, each paired with its serve.* counter.
+  util::Tally submitted_, invalid_, rejected_, stopped_rejects_, cache_hits_,
+      accepted_, shed_, discarded_, served_, encode_failed_, batches_,
+      columns_encoded_;
+  std::atomic<std::uint64_t> max_batch_columns_{0};
 };
 
 }  // namespace extdict::serve

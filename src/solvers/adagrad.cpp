@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/contracts.hpp"
+
 namespace extdict::solvers {
 
 Adagrad::Adagrad(Index dim, Real base_rate, Real epsilon)
@@ -15,9 +17,8 @@ Adagrad::Adagrad(Index dim, Real base_rate, Real epsilon)
 }
 
 void Adagrad::accumulate(std::span<const Real> gradient) {
-  if (gradient.size() != accum_.size()) {
-    throw std::invalid_argument("Adagrad::accumulate: size mismatch");
-  }
+  EXTDICT_REQUIRE_SHAPE(gradient.size() == accum_.size(),
+                        "Adagrad::accumulate: size mismatch");
   for (std::size_t i = 0; i < accum_.size(); ++i) {
     accum_[i] += gradient[i] * gradient[i];
   }
@@ -28,9 +29,9 @@ Real Adagrad::rate(Index i) const noexcept {
 }
 
 void Adagrad::step(std::span<const Real> gradient, std::span<Real> x) {
-  if (gradient.size() != accum_.size() || x.size() != accum_.size()) {
-    throw std::invalid_argument("Adagrad::step: size mismatch");
-  }
+  EXTDICT_REQUIRE_SHAPE(
+      gradient.size() == accum_.size() && x.size() == accum_.size(),
+      "Adagrad::step: size mismatch");
   accumulate(gradient);
   for (std::size_t i = 0; i < x.size(); ++i) {
     x[i] -= rate(static_cast<Index>(i)) * gradient[i];

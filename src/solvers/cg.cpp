@@ -4,15 +4,15 @@
 #include <stdexcept>
 
 #include "la/blas.hpp"
+#include "util/contracts.hpp"
 
 namespace extdict::solvers {
 
 CgResult conjugate_gradient(const GramOperator& op, const la::Vector& b,
                             const CgConfig& config) {
   const Index n = op.dim();
-  if (static_cast<Index>(b.size()) != n) {
-    throw std::invalid_argument("conjugate_gradient: b size mismatch");
-  }
+  EXTDICT_REQUIRE_SHAPE(static_cast<Index>(b.size()) == n,
+                        "conjugate_gradient: b size mismatch");
   if (config.shift < 0) {
     throw std::invalid_argument("conjugate_gradient: shift must be >= 0");
   }

@@ -7,6 +7,7 @@
 
 #include "la/blas.hpp"
 #include "la/random.hpp"
+#include "util/contracts.hpp"
 
 namespace extdict::solvers {
 
@@ -18,9 +19,8 @@ void tridiagonal_eigen(std::vector<Real>& diag, std::vector<Real>& sub,
   const Index n = static_cast<Index>(diag.size());
   if (n == 0) return;
   if (static_cast<Index>(sub.size()) < n) sub.resize(static_cast<std::size_t>(n), 0);
-  if (z && (z->cols() != n)) {
-    throw std::invalid_argument("tridiagonal_eigen: z column mismatch");
-  }
+  EXTDICT_REQUIRE_SHAPE(z == nullptr || z->cols() == n,
+                        "tridiagonal_eigen: z column mismatch");
   sub[static_cast<std::size_t>(n - 1)] = 0;
 
   for (Index l = 0; l < n; ++l) {

@@ -63,6 +63,8 @@ std::pair<Real, Real> proximal_step(std::span<Real> x, std::span<Real> g,
 
 Real elastic_net_objective(const GramOperator& op, const la::Vector& y,
                            const la::Vector& x, Real l1, Real l2) {
+  EXTDICT_REQUIRE_SHAPE(static_cast<Index>(y.size()) == op.data_dim(),
+                        "elastic_net_objective: y size mismatch");
   la::Vector ax(static_cast<std::size_t>(op.data_dim()));
   op.apply_forward(x, ax);
   Real fit = 0;
@@ -78,6 +80,7 @@ Real elastic_net_objective(const GramOperator& op, const la::Vector& y,
   return Real{0.5} * fit + l1 * abs_sum + Real{0.5} * l2 * sq_sum;
 }
 
+// extdict-lint: allow(missing-shape-contract) elastic_net_objective checks the shapes
 Real lasso_objective(const GramOperator& op, const la::Vector& y,
                      const la::Vector& x, Real lambda) {
   return elastic_net_objective(op, y, x, lambda, 0);
@@ -85,8 +88,8 @@ Real lasso_objective(const GramOperator& op, const la::Vector& y,
 
 LassoResult lasso_solve(const GramOperator& op, const la::Vector& y,
                         const LassoConfig& config) {
-  const util::SpanTimer span("lasso.solve");
-  const util::TraceScope trace(util::TraceRecorder::global(), "lasso.solve");
+  const util::TraceScope phase(
+      util::MetricsRegistry::global().span("lasso.solve"), "lasso.solve");
   const Index n = op.dim();
   EXTDICT_REQUIRE_SHAPE(static_cast<Index>(y.size()) == op.data_dim(),
                         "lasso_solve: y size mismatch");
@@ -127,6 +130,7 @@ LassoResult lasso_solve(const GramOperator& op, const la::Vector& y,
   return result;
 }
 
+// extdict-lint: allow(missing-shape-contract) lasso_solve checks the shapes
 LassoResult ridge_solve(const GramOperator& op, const la::Vector& y, Real l2,
                         int max_iterations, Real tolerance) {
   LassoConfig config;
@@ -142,7 +146,9 @@ DistLassoResult lasso_solve_distributed(const dist::Cluster& cluster,
                                         const Matrix& d, const CscMatrix& c,
                                         const la::Vector& y,
                                         const LassoConfig& config) {
-  const util::SpanTimer span("lasso.solve_distributed");
+  const util::TraceScope phase(
+      util::MetricsRegistry::global().span("lasso.solve_distributed"),
+      "lasso.solve_distributed");
   EXTDICT_REQUIRE_SHAPE(static_cast<Index>(y.size()) == d.rows(),
                         "lasso_solve_distributed: y size mismatch");
 

@@ -13,9 +13,9 @@
 namespace extdict::solvers {
 
 PowerResult power_method(const GramOperator& op, const PowerConfig& config) {
-  const util::SpanTimer span("power_method.solve");
-  const util::TraceScope trace(util::TraceRecorder::global(),
-                               "power_method.solve");
+  const util::TraceScope phase(
+      util::MetricsRegistry::global().span("power_method.solve"),
+      "power_method.solve");
   const Index n = op.dim();
   const Index k = std::min<Index>(config.num_eigenpairs, n);
   la::Rng rng(config.seed);
@@ -71,10 +71,13 @@ PowerResult power_method(const GramOperator& op, const PowerConfig& config) {
   return result;
 }
 
+// extdict-lint: allow(missing-shape-contract) each rank's DistGramStep checks D against C
 DistPowerResult power_method_distributed(const dist::Cluster& cluster,
                                          const Matrix& d, const la::CscMatrix& c,
                                          const PowerConfig& config) {
-  const util::SpanTimer span("power_method.solve_distributed");
+  const util::TraceScope phase(
+      util::MetricsRegistry::global().span("power_method.solve_distributed"),
+      "power_method.solve_distributed");
   const Index k = std::min<Index>(config.num_eigenpairs, c.cols());
 
   DistPowerResult result;

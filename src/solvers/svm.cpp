@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "la/blas.hpp"
+#include "util/contracts.hpp"
 
 namespace extdict::solvers {
 
@@ -10,9 +11,8 @@ LsSvm::LsSvm(const core::GramOperator& op, const la::Vector& labels,
              const SvmConfig& config)
     : op_(&op) {
   const Index n = op.dim();
-  if (static_cast<Index>(labels.size()) != n) {
-    throw std::invalid_argument("LsSvm: label count != column count");
-  }
+  EXTDICT_REQUIRE_SHAPE(static_cast<Index>(labels.size()) == n,
+                        "LsSvm: label count != column count");
   if (config.gamma <= 0) {
     throw std::invalid_argument("LsSvm: gamma must be > 0");
   }
@@ -43,9 +43,8 @@ LsSvm::LsSvm(const core::GramOperator& op, const la::Vector& labels,
 }
 
 Real LsSvm::decision(std::span<const Real> signal) const {
-  if (static_cast<Index>(signal.size()) != op_->data_dim()) {
-    throw std::invalid_argument("LsSvm::decision: signal size mismatch");
-  }
+  EXTDICT_REQUIRE_SHAPE(static_cast<Index>(signal.size()) == op_->data_dim(),
+                        "LsSvm::decision: signal size mismatch");
   // f(x) = alphaᵀ (Aᵀ x) + b.
   la::Vector atx(static_cast<std::size_t>(op_->dim()));
   op_->apply_adjoint(signal, atx);
@@ -61,9 +60,8 @@ la::Vector LsSvm::training_decisions() const {
 
 Real training_accuracy(const LsSvm& svm, const la::Vector& labels) {
   const la::Vector f = svm.training_decisions();
-  if (f.size() != labels.size() || f.empty()) {
-    throw std::invalid_argument("training_accuracy: size mismatch");
-  }
+  EXTDICT_REQUIRE_SHAPE(f.size() == labels.size() && !f.empty(),
+                        "training_accuracy: size mismatch");
   Index correct = 0;
   for (std::size_t i = 0; i < f.size(); ++i) {
     if ((f[i] >= 0 ? 1.0 : -1.0) == (labels[i] >= 0 ? 1.0 : -1.0)) ++correct;

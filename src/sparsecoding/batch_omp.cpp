@@ -9,16 +9,13 @@
 #include "la/cholesky.hpp"
 #include "util/contracts.hpp"
 #include "util/metrics.hpp"
+#include "util/trace.hpp"
 
 namespace extdict::sparsecoding {
 
 // extdict-lint: allow(missing-shape-contract) any dictionary shape is valid; gram() validates
 BatchOmp::BatchOmp(const Matrix& dict, OmpConfig config)
-    : dict_(&dict), gram_(la::gram(dict)), config_(config) {
-  max_atoms_ = config_.max_atoms > 0
-                   ? std::min(config_.max_atoms, std::min(dict.rows(), dict.cols()))
-                   : std::min(dict.rows(), dict.cols());
-}
+    : dict_(&dict), gram_(la::gram(dict)), config_(config) {}
 
 BatchOmp::BatchOmp(const Matrix& dict, Matrix gram, OmpConfig config)
     : dict_(&dict), gram_(std::move(gram)), config_(config) {
@@ -27,9 +24,6 @@ BatchOmp::BatchOmp(const Matrix& dict, Matrix gram, OmpConfig config)
       "BatchOmp: supplied Gram is " + std::to_string(gram_.rows()) + "x" +
           std::to_string(gram_.cols()) + " but the dictionary has " +
           std::to_string(dict.cols()) + " columns");
-  max_atoms_ = config_.max_atoms > 0
-                   ? std::min(config_.max_atoms, std::min(dict.rows(), dict.cols()))
-                   : std::min(dict.rows(), dict.cols());
 }
 
 // extdict-lint: allow(missing-shape-contract) delegates to the checked overload
@@ -175,7 +169,10 @@ la::CscMatrix BatchOmp::encode_all(const Matrix& signals) const {
                             " rows but dictionary has " +
                             std::to_string(dict_->rows()));
   const Index n = signals.cols();
-  const util::SpanTimer span("batch_omp.encode_all");
+  // extdict-lint: allow(trace-in-hot-path) one phase per encode_all call, not per column
+  const util::TraceScope phase(
+      util::MetricsRegistry::global().span("batch_omp.encode_all"),
+      "batch_omp.encode_all");
   std::vector<std::vector<std::pair<Index, Real>>> columns(
       static_cast<std::size_t>(n));
 #pragma omp parallel for schedule(dynamic, 16) default(none) \

@@ -63,7 +63,6 @@ class BatchOmp {
   const Matrix* dict_;  // non-owning; caller keeps the dictionary alive
   Matrix gram_;
   OmpConfig config_;
-  Index max_atoms_;
 };
 
 }  // namespace extdict::sparsecoding

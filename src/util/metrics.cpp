@@ -1,6 +1,7 @@
 #include "util/metrics.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 
 namespace extdict::util {
@@ -37,6 +38,27 @@ void atomic_max_i64(std::atomic<std::int64_t>& cell, std::int64_t v) noexcept {
   while (v > seen &&
          !cell.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
   }
+}
+
+// Find-or-create in a registry name map; the caller holds the registry lock.
+template <typename Cell, typename... Args>
+Cell& resolve_cell(
+    std::map<std::string, std::unique_ptr<Cell>, std::less<>>& cells,
+    std::string_view name, Args&... args) {
+  const auto it = cells.find(name);
+  if (it != cells.end()) return *it->second;
+  return *cells.emplace(std::string(name), std::make_unique<Cell>(args...))
+              .first->second;
+}
+
+// Lookup without creation (nullptr for a name never touched); the caller
+// holds the registry lock.
+template <typename Cell>
+const Cell* find_cell(
+    const std::map<std::string, std::unique_ptr<Cell>, std::less<>>& cells,
+    std::string_view name) {
+  const auto it = cells.find(name);
+  return it == cells.end() ? nullptr : it->second.get();
 }
 
 }  // namespace
@@ -268,146 +290,93 @@ Json WindowedHistogram::to_json_at(std::int64_t now_ms) const {
   return j;
 }
 
+// -- MetricsRegistry ----------------------------------------------------------
+
+void MetricsRegistry::Counter::update_max(std::uint64_t v) noexcept {
+  if (!enabled_.load(std::memory_order_relaxed)) return;
+  std::uint64_t seen = value_.load(std::memory_order_relaxed);
+  while (seen < v &&
+         !value_.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
+  }
+}
+
+void MetricsRegistry::Span::record(double seconds) noexcept {
+  if (!enabled()) return;
+  const double clamped = seconds > 0 ? seconds : 0;
+  add_nanos(
+      static_cast<std::uint64_t>(std::llround(clamped * kNanosPerSecond)));
+}
+
+double MetricsRegistry::Span::seconds() const noexcept {
+  return static_cast<double>(nanos_.load(std::memory_order_relaxed)) /
+         kNanosPerSecond;
+}
+
 MetricsRegistry::Counter& MetricsRegistry::counter(std::string_view name) {
   const MutexLock lock(mu_);
-  const auto it = counters_.find(name);
-  if (it != counters_.end()) return *it->second;
-  return *counters_.emplace(std::string(name), std::make_unique<Counter>())
-              .first->second;
+  return resolve_cell(counters_, name, enabled_);
 }
 
 void MetricsRegistry::add(std::string_view name, std::uint64_t delta) {
-  if (!enabled()) return;
-  counter(name).add(delta);
+  if (enabled()) counter(name).add(delta);
 }
 
 void MetricsRegistry::update_max(std::string_view name, std::uint64_t v) {
-  if (!enabled()) return;
-  auto& cell = counter(name).value;
-  std::uint64_t seen = cell.load(std::memory_order_relaxed);
-  while (seen < v &&
-         !cell.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
-  }
+  if (enabled()) counter(name).update_max(v);
 }
 
 std::uint64_t MetricsRegistry::value(std::string_view name) const {
   const MutexLock lock(mu_);
-  const auto it = counters_.find(name);
-  return it == counters_.end()
-             ? 0
-             : it->second->value.load(std::memory_order_relaxed);
+  const Counter* cell = find_cell(counters_, name);
+  return cell == nullptr ? 0 : cell->value();
 }
 
 MetricsRegistry::Span& MetricsRegistry::span(std::string_view name) {
   const MutexLock lock(mu_);
-  const auto it = spans_.find(name);
-  if (it != spans_.end()) return *it->second;
-  return *spans_.emplace(std::string(name), std::make_unique<Span>())
-              .first->second;
+  return resolve_cell(spans_, name, enabled_);
 }
 
 void MetricsRegistry::record_span(std::string_view name, double seconds) {
-  if (!enabled()) return;
-  Span& cell = span(name);
-  cell.count.fetch_add(1, std::memory_order_relaxed);
-  const double clamped = seconds > 0 ? seconds : 0;
-  cell.nanos.fetch_add(
-      static_cast<std::uint64_t>(std::llround(clamped * kNanosPerSecond)),
-      std::memory_order_relaxed);
+  if (enabled()) span(name).record(seconds);
 }
 
 double MetricsRegistry::span_seconds(std::string_view name) const {
   const MutexLock lock(mu_);
-  const auto it = spans_.find(name);
-  return it == spans_.end()
-             ? 0.0
-             : static_cast<double>(
-                   it->second->nanos.load(std::memory_order_relaxed)) /
-                   kNanosPerSecond;
+  const Span* cell = find_cell(spans_, name);
+  return cell == nullptr ? 0.0 : cell->seconds();
 }
 
 std::uint64_t MetricsRegistry::span_count(std::string_view name) const {
   const MutexLock lock(mu_);
-  const auto it = spans_.find(name);
-  return it == spans_.end()
-             ? 0
-             : it->second->count.load(std::memory_order_relaxed);
+  const Span* cell = find_cell(spans_, name);
+  return cell == nullptr ? 0 : cell->count();
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name) {
   const MutexLock lock(mu_);
-  const auto it = gauges_.find(name);
-  if (it != gauges_.end()) return *it->second;
-  return *gauges_.emplace(std::string(name), std::make_unique<Gauge>())
-              .first->second;
+  return resolve_cell(gauges_, name);
 }
 
-void MetricsRegistry::gauge_set(std::string_view name, std::int64_t v) {
-  if (!enabled()) return;
-  gauge(name).set(v);
-}
-
-void MetricsRegistry::gauge_add(std::string_view name, std::int64_t delta) {
-  if (!enabled()) return;
-  gauge(name).add(delta);
-}
-
-void MetricsRegistry::gauge_sub(std::string_view name, std::int64_t delta) {
-  if (!enabled()) return;
-  gauge(name).sub(delta);
-}
-
-std::int64_t MetricsRegistry::gauge_value(std::string_view name) const {
+MetricsRegistry::Distribution& MetricsRegistry::distribution(
+    std::string_view name) {
   const MutexLock lock(mu_);
-  const auto it = gauges_.find(name);
-  return it == gauges_.end() ? 0 : it->second->value();
-}
-
-Histogram& MetricsRegistry::histogram(std::string_view name) {
-  const MutexLock lock(mu_);
-  const auto it = histograms_.find(name);
-  if (it != histograms_.end()) return *it->second;
-  return *histograms_.emplace(std::string(name), std::make_unique<Histogram>())
-              .first->second;
-}
-
-WindowedHistogram& MetricsRegistry::windowed_histogram(std::string_view name) {
-  const MutexLock lock(mu_);
-  const auto it = windowed_.find(name);
-  if (it != windowed_.end()) return *it->second;
-  return *windowed_
-              .emplace(std::string(name), std::make_unique<WindowedHistogram>())
-              .first->second;
-}
-
-void MetricsRegistry::observe_windowed(std::string_view name, double value) {
-  if (!enabled()) return;
-  windowed_histogram(name).record(value);
+  return resolve_cell(distributions_, name, enabled_);
 }
 
 void MetricsRegistry::observe(std::string_view name, double value) {
-  if (!enabled()) return;
-  histogram(name).record(value);
+  if (enabled()) distribution(name).observe(value);
 }
 
-std::uint64_t MetricsRegistry::histogram_count(std::string_view name) const {
-  const MutexLock lock(mu_);
-  const auto it = histograms_.find(name);
-  return it == histograms_.end() ? 0 : it->second->count();
+const Histogram& MetricsRegistry::histogram(std::string_view name) {
+  return distribution(name).cumulative();
 }
 
 void MetricsRegistry::reset() {
   const MutexLock lock(mu_);
-  for (auto& [name, cell] : counters_) {
-    cell->value.store(0, std::memory_order_relaxed);
-  }
-  for (auto& [name, cell] : spans_) {
-    cell->count.store(0, std::memory_order_relaxed);
-    cell->nanos.store(0, std::memory_order_relaxed);
-  }
-  for (auto& [name, cell] : histograms_) cell->reset();
+  for (auto& [name, cell] : counters_) cell->reset();
+  for (auto& [name, cell] : spans_) cell->reset();
   for (auto& [name, cell] : gauges_) cell->reset();
-  for (auto& [name, cell] : windowed_) cell->reset();
+  for (auto& [name, cell] : distributions_) cell->reset();
   // snapshot_seq_ deliberately survives: consumers order dumps by it and
   // detect the reset from counters moving backwards.
 }
@@ -415,26 +384,22 @@ void MetricsRegistry::reset() {
 Json MetricsRegistry::to_json() const {
   const MutexLock lock(mu_);
   Json counters = Json::object();
-  for (const auto& [name, cell] : counters_) {
-    counters[name] = cell->value.load(std::memory_order_relaxed);
-  }
+  for (const auto& [name, cell] : counters_) counters[name] = cell->value();
   Json gauges = Json::object();
   for (const auto& [name, cell] : gauges_) gauges[name] = cell->to_json();
   Json spans = Json::object();
   for (const auto& [name, cell] : spans_) {
     Json entry = Json::object();
-    entry["count"] = cell->count.load(std::memory_order_relaxed);
-    entry["seconds"] =
-        static_cast<double>(cell->nanos.load(std::memory_order_relaxed)) /
-        kNanosPerSecond;
+    entry["count"] = cell->count();
+    entry["seconds"] = cell->seconds();
     spans[name] = std::move(entry);
   }
   Json histograms = Json::object();
-  for (const auto& [name, cell] : histograms_) {
-    histograms[name] = cell->to_json();
-  }
   Json windowed = Json::object();
-  for (const auto& [name, cell] : windowed_) windowed[name] = cell->to_json();
+  for (const auto& [name, cell] : distributions_) {
+    histograms[name] = cell->cumulative().to_json();
+    windowed[name] = cell->to_json();
+  }
   Json out = Json::object();
   out["enabled"] = enabled();
   out["snapshot_seq"] =
@@ -450,13 +415,11 @@ Json MetricsRegistry::to_json() const {
 Json MetricsRegistry::telemetry_sample() const {
   const MutexLock lock(mu_);
   Json counters = Json::object();
-  for (const auto& [name, cell] : counters_) {
-    counters[name] = cell->value.load(std::memory_order_relaxed);
-  }
+  for (const auto& [name, cell] : counters_) counters[name] = cell->value();
   Json gauges = Json::object();
   for (const auto& [name, cell] : gauges_) gauges[name] = cell->value();
   Json windowed = Json::object();
-  for (const auto& [name, cell] : windowed_) {
+  for (const auto& [name, cell] : distributions_) {
     const std::int64_t now_ms = WindowedHistogram::now_millis();
     Json entry = Json::object();
     entry["count"] = cell->window_count_at(now_ms);

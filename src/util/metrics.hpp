@@ -2,7 +2,6 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -226,8 +225,7 @@ class WindowedHistogram {
 };
 
 /// Process-wide observability registry: named monotonic counters, live
-/// gauges, phase-scoped span timers, and (windowed) histograms, with
-/// deterministic JSON emission.
+/// gauges, phase spans and histograms, with deterministic JSON emission.
 ///
 /// This is the measurement half of the model-vs-measurement loop: the
 /// analytic cost model (core/cost_model.hpp) predicts FLOPs/words/time, the
@@ -239,26 +237,94 @@ class WindowedHistogram {
 ///   * every operation is safe from any number of threads — the name maps
 ///     are guarded by a leaf `util::Mutex`, the cells themselves are
 ///     std::atomics (relaxed; the registry publishes totals, not orderings);
-///   * `counter()` / `span()` return references that stay valid for the
-///     registry's lifetime (cells are never erased, `reset()` only zeroes
-///     them), so hot paths can resolve a name once and bump the atomic
-///     directly;
-///   * the convenience mutators (`add`, `record_span`, ...) honour
-///     `set_enabled(false)` and become no-ops — that switch is what the
-///     instrumentation-overhead bench toggles.
+///   * the resolvers (`counter()`, `span()`, `gauge()`, `distribution()`)
+///     return handles that stay valid for the registry's lifetime (cells are
+///     never erased, `reset()` only zeroes them). Hot paths resolve once, at
+///     construction, and then record with no lock and no map lookup;
+///   * recording through a counter, span or distribution handle honours
+///     `set_enabled(false)` exactly as the name-keyed `add`, `update_max`,
+///     `record_span` and `observe` do — those are resolve-then-record
+///     shorthands for cold paths. The switch is what the
+///     instrumentation-overhead bench toggles. Gauges are the exception: a
+///     gauge is never gated, so RAII +/- pairs stay balanced across a
+///     mid-run toggle.
 class MetricsRegistry {
  public:
-  struct Counter {
-    std::atomic<std::uint64_t> value{0};
+  /// Monotonic counter cell.
+  class Counter {
+   public:
+    explicit Counter(const std::atomic<bool>& enabled) noexcept
+        : enabled_(enabled) {}
 
+    /// value += delta; no-op while the registry is disabled.
     void add(std::uint64_t delta) noexcept {
-      value.fetch_add(delta, std::memory_order_relaxed);
+      if (enabled_.load(std::memory_order_relaxed)) {
+        value_.fetch_add(delta, std::memory_order_relaxed);
+      }
     }
+    /// value = max(value, v); no-op while disabled. For high-water
+    /// quantities (peak memory) that summing would distort.
+    void update_max(std::uint64_t v) noexcept;
+
+    [[nodiscard]] std::uint64_t value() const noexcept {
+      return value_.load(std::memory_order_relaxed);
+    }
+    void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
+
+   private:
+    const std::atomic<bool>& enabled_;
+    std::atomic<std::uint64_t> value_{0};
   };
 
-  struct Span {
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<std::uint64_t> nanos{0};
+  /// Phase-span cell: completed-phase count and total wall time. Phase
+  /// scopes record through `TraceScope`'s span form (util/trace.hpp).
+  class Span {
+   public:
+    explicit Span(const std::atomic<bool>& enabled) noexcept
+        : enabled_(enabled) {}
+
+    [[nodiscard]] bool enabled() const noexcept {
+      return enabled_.load(std::memory_order_relaxed);
+    }
+    /// One completed phase of `seconds` (negative clamps to zero); no-op
+    /// while disabled.
+    void record(double seconds) noexcept;
+    /// One completed phase of `nanos`, ungated: for scopes that latched
+    /// `enabled()` when they opened.
+    void add_nanos(std::uint64_t nanos) noexcept {
+      count_.fetch_add(1, std::memory_order_relaxed);
+      nanos_.fetch_add(nanos, std::memory_order_relaxed);
+    }
+
+    [[nodiscard]] std::uint64_t count() const noexcept {
+      return count_.load(std::memory_order_relaxed);
+    }
+    [[nodiscard]] double seconds() const noexcept;
+    void reset() noexcept {
+      count_.store(0, std::memory_order_relaxed);
+      nanos_.store(0, std::memory_order_relaxed);
+    }
+
+   private:
+    const std::atomic<bool>& enabled_;
+    std::atomic<std::uint64_t> count_{0};
+    std::atomic<std::uint64_t> nanos_{0};
+  };
+
+  /// Histogram cell: one WindowedHistogram, so every observation feeds the
+  /// live window and the cumulative view together. `observe` is a no-op
+  /// while the registry is disabled; the inherited `record` is ungated.
+  class Distribution : public WindowedHistogram {
+   public:
+    explicit Distribution(const std::atomic<bool>& enabled) noexcept
+        : enabled_(enabled) {}
+
+    void observe(double value) noexcept {
+      if (enabled_.load(std::memory_order_relaxed)) record(value);
+    }
+
+   private:
+    const std::atomic<bool>& enabled_;
   };
 
   MetricsRegistry() = default;
@@ -267,73 +333,37 @@ class MetricsRegistry {
 
   /// Resolves (creating on first use) the counter cell for `name`.
   [[nodiscard]] Counter& counter(std::string_view name) EXTDICT_EXCLUDES(mu_);
-
-  /// counter(name) += delta; no-op while disabled.
+  /// counter(name).add(delta).
   void add(std::string_view name, std::uint64_t delta) EXTDICT_EXCLUDES(mu_);
-
-  /// counter(name) = max(counter(name), v); no-op while disabled. For
-  /// high-water quantities (peak memory) that summing would distort.
+  /// counter(name).update_max(v).
   void update_max(std::string_view name, std::uint64_t v) EXTDICT_EXCLUDES(mu_);
-
   /// Current value (0 for a name never touched).
   [[nodiscard]] std::uint64_t value(std::string_view name) const
       EXTDICT_EXCLUDES(mu_);
 
   /// Resolves (creating on first use) the span cell for `name`.
   [[nodiscard]] Span& span(std::string_view name) EXTDICT_EXCLUDES(mu_);
-
-  /// Adds one completed phase of `seconds` to the span; no-op while
-  /// disabled. Negative durations are clamped to zero.
+  /// span(name).record(seconds).
   void record_span(std::string_view name, double seconds)
       EXTDICT_EXCLUDES(mu_);
-
   [[nodiscard]] double span_seconds(std::string_view name) const
       EXTDICT_EXCLUDES(mu_);
   [[nodiscard]] std::uint64_t span_count(std::string_view name) const
       EXTDICT_EXCLUDES(mu_);
 
-  /// Resolves (creating on first use) the gauge cell for `name`. Like
-  /// counter cells, the reference stays valid for the registry's lifetime —
-  /// hot paths resolve once and mutate the cell directly (ungated by
-  /// `set_enabled`, which keeps RAII GaugeGuard pairs balanced across
-  /// mid-run toggles).
+  /// Resolves (creating on first use) the gauge cell for `name`. Gauges are
+  /// never gated (see the class comment).
   [[nodiscard]] Gauge& gauge(std::string_view name) EXTDICT_EXCLUDES(mu_);
 
-  /// gauge(name).set/add/sub; no-ops while disabled.
-  void gauge_set(std::string_view name, std::int64_t v) EXTDICT_EXCLUDES(mu_);
-  void gauge_add(std::string_view name, std::int64_t delta)
+  /// Resolves (creating on first use) the histogram cell for `name`.
+  [[nodiscard]] Distribution& distribution(std::string_view name)
       EXTDICT_EXCLUDES(mu_);
-  void gauge_sub(std::string_view name, std::int64_t delta)
-      EXTDICT_EXCLUDES(mu_);
-
-  /// Current gauge level (0 for a name never touched).
-  [[nodiscard]] std::int64_t gauge_value(std::string_view name) const
-      EXTDICT_EXCLUDES(mu_);
-
-  /// Resolves (creating on first use) the histogram cell for `name`. Like
-  /// counter cells, the reference stays valid for the registry's lifetime.
-  [[nodiscard]] Histogram& histogram(std::string_view name)
-      EXTDICT_EXCLUDES(mu_);
-
-  /// Resolves (creating on first use) the windowed-histogram cell for
-  /// `name` (default slot width; same lifetime guarantee as the others).
-  [[nodiscard]] WindowedHistogram& windowed_histogram(std::string_view name)
-      EXTDICT_EXCLUDES(mu_);
-
-  /// windowed_histogram(name).record(value); no-op while disabled.
-  void observe_windowed(std::string_view name, double value)
-      EXTDICT_EXCLUDES(mu_);
-
-  /// histogram(name).record(value); no-op while disabled.
+  /// distribution(name).observe(value).
   void observe(std::string_view name, double value) EXTDICT_EXCLUDES(mu_);
-
-  /// Recorded-observation count (0 for a name never touched).
-  [[nodiscard]] std::uint64_t histogram_count(std::string_view name) const
+  /// The cumulative view of distribution(name).
+  [[nodiscard]] const Histogram& histogram(std::string_view name)
       EXTDICT_EXCLUDES(mu_);
 
-  /// Toggles the convenience mutators. Direct cell references returned by
-  /// `counter()`/`span()` are not gated — callers holding one opt out of
-  /// the switch knowingly.
   void set_enabled(bool on) noexcept {
     enabled_.store(on, std::memory_order_relaxed);
   }
@@ -352,7 +382,7 @@ class MetricsRegistry {
   ///    "counters": {name: value, ...},
   ///    "gauges": {name: {"value": v, "peak": p}, ...},
   ///    "spans": {name: {"count": n, "seconds": s}, ...},
-  ///    "histograms": {name: Histogram::to_json(), ...},
+  ///    "histograms": {name: Histogram::to_json() of the cumulative view},
   ///    "window_quantiles": {name: WindowedHistogram::to_json(), ...}}
   /// Names are emitted in lexicographic order. `snapshot_seq` increments on
   /// every call (monotone across `reset()`), so two calls on identical state
@@ -375,66 +405,40 @@ class MetricsRegistry {
   [[nodiscard]] static MetricsRegistry& global();
 
  private:
+  template <typename Cell>
+  using CellMap = std::map<std::string, std::unique_ptr<Cell>, std::less<>>;
+
+  std::atomic<bool> enabled_{true};
   // Leaf lock (policy: util/sync.hpp): guards the name maps only; cell
   // updates go through the atomics without taking it.
   mutable Mutex mu_;
   // std::map: node stability keeps cell references valid as names register.
-  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_
-      EXTDICT_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Span>, std::less<>> spans_
-      EXTDICT_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_
-      EXTDICT_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_
-      EXTDICT_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<WindowedHistogram>, std::less<>>
-      windowed_ EXTDICT_GUARDED_BY(mu_);
-  std::atomic<bool> enabled_{true};
+  CellMap<Counter> counters_ EXTDICT_GUARDED_BY(mu_);
+  CellMap<Span> spans_ EXTDICT_GUARDED_BY(mu_);
+  CellMap<Gauge> gauges_ EXTDICT_GUARDED_BY(mu_);
+  CellMap<Distribution> distributions_ EXTDICT_GUARDED_BY(mu_);
   // Monotone dump ordinal (to_json bumps it; survives reset()).
   mutable std::atomic<std::uint64_t> snapshot_seq_{0};
 };
 
-/// RAII phase timer: records the scope's wall time into
-/// `registry.record_span(name)` on destruction.
-///
-/// The enabled switch is latched at construction: a disabled registry costs
-/// one relaxed atomic load — no clock reads, no name copy, no destructor
-/// record (so enabling mid-scope records nothing; toggle between phases, as
-/// the instrumentation-overhead bench does). When enabled, the name is
-/// captured by value (spans outlive the string views handed in) and the
-/// scope pays exactly two steady_clock reads — measured to be below the
-/// noise floor of every metered phase (BENCH_gram_model.json,
-/// "instrumentation_overhead").
-class SpanTimer {
+/// A component's own always-on total paired with its registry counter,
+/// resolved once: `add` bumps both. The local total backs the component's
+/// `stats()` and ignores the registry switch; the counter honours it.
+class Tally {
  public:
-  SpanTimer(MetricsRegistry& registry, std::string_view name)
-      : registry_(registry.enabled() ? &registry : nullptr) {
-    if (registry_ != nullptr) {
-      name_ = name;
-      start_ = Clock::now();
-    }
+  explicit Tally(MetricsRegistry::Counter& metric) noexcept : metric_(metric) {}
+
+  void add(std::uint64_t delta) noexcept {
+    local_.fetch_add(delta, std::memory_order_relaxed);
+    metric_.add(delta);
   }
-
-  /// Records into the global registry.
-  explicit SpanTimer(std::string_view name)
-      : SpanTimer(MetricsRegistry::global(), name) {}
-
-  SpanTimer(const SpanTimer&) = delete;
-  SpanTimer& operator=(const SpanTimer&) = delete;
-
-  ~SpanTimer() {
-    if (registry_ != nullptr) {
-      registry_->record_span(
-          name_, std::chrono::duration<double>(Clock::now() - start_).count());
-    }
+  [[nodiscard]] std::uint64_t value() const noexcept {
+    return local_.load(std::memory_order_relaxed);
   }
 
  private:
-  using Clock = std::chrono::steady_clock;
-
-  MetricsRegistry* registry_;
-  std::string name_;
-  Clock::time_point start_{};
+  std::atomic<std::uint64_t> local_{0};
+  MetricsRegistry::Counter& metric_;
 };
 
 }  // namespace extdict::util

@@ -18,6 +18,13 @@ struct TlsEntry {
   void* buffer = nullptr;
 };
 
+using Clock = std::chrono::steady_clock;
+
+std::uint64_t nanos(Clock::duration d) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
+}
+
 thread_local std::vector<TlsEntry> tls_entries;
 thread_local std::int32_t tls_rank = TraceRecorder::kHostPid;
 
@@ -83,9 +90,11 @@ TraceRecorder::ThreadBuffer& TraceRecorder::thread_buffer() {
   return *buffer;
 }
 
-void TraceRecorder::record(EventKind kind, std::string_view name,
-                           std::string_view key0, std::uint64_t value0,
-                           std::string_view key1, std::uint64_t value1) {
+void TraceRecorder::record(EventKind kind,
+                           std::chrono::steady_clock::time_point at,
+                           std::string_view name, std::string_view key0,
+                           std::uint64_t value0, std::string_view key1,
+                           std::uint64_t value1) {
   ThreadBuffer& buffer = thread_buffer();
   const std::size_t i = buffer.size.load(std::memory_order_relaxed);
   if (i >= buffer.events.size()) {
@@ -94,7 +103,7 @@ void TraceRecorder::record(EventKind kind, std::string_view name,
   }
   Event& e = buffer.events[i];
   e.kind = kind;
-  e.ts_ns = now_ns();
+  e.ts_ns = nanos(at - epoch_);
   e.name = name;
   e.key0 = key0;
   e.key1 = key1;
@@ -103,33 +112,15 @@ void TraceRecorder::record(EventKind kind, std::string_view name,
   buffer.size.store(i + 1, std::memory_order_release);
 }
 
-void TraceRecorder::begin(std::string_view name, std::string_view key0,
-                          std::uint64_t value0, std::string_view key1,
-                          std::uint64_t value1) {
-  if (!enabled()) return;
-  record(EventKind::kBegin, name, key0, value0, key1, value1);
-}
-
-void TraceRecorder::end(std::string_view name, std::string_view key0,
-                        std::uint64_t value0) {
-  if (!enabled()) return;
-  record(EventKind::kEnd, name, key0, value0, {}, 0);
-}
-
-void TraceRecorder::end_unchecked(std::string_view name, std::string_view key0,
-                                  std::uint64_t value0) {
-  record(EventKind::kEnd, name, key0, value0, {}, 0);
-}
-
 void TraceRecorder::instant(std::string_view name, std::string_view key0,
                             std::uint64_t value0) {
   if (!enabled()) return;
-  record(EventKind::kInstant, name, key0, value0, {}, 0);
+  record(EventKind::kInstant, Clock::now(), name, key0, value0);
 }
 
 void TraceRecorder::counter(std::string_view name, std::uint64_t value) {
   if (!enabled()) return;
-  record(EventKind::kCounter, name, "value", value, {}, 0);
+  record(EventKind::kCounter, Clock::now(), name, "value", value);
 }
 
 std::uint64_t TraceRecorder::recorded_events() const {
@@ -278,6 +269,26 @@ Json TraceRecorder::to_chrome_json() const {
   doc["otherData"] = std::move(other);
   doc["traceEvents"] = std::move(events);
   return doc;
+}
+
+void TraceScope::open(TraceRecorder* recorder, std::string_view name,
+                      std::string_view key0, std::uint64_t value0,
+                      std::string_view key1, std::uint64_t value1) {
+  begin_ = Clock::now();
+  if (recorder == nullptr) return;
+  recorder_ = recorder;
+  name_ = name;
+  recorder->record(TraceRecorder::EventKind::kBegin, begin_, name, key0,
+                   value0, key1, value1);
+}
+
+void TraceScope::close() {
+  const Clock::time_point end = Clock::now();
+  if (span_ != nullptr) span_->add_nanos(nanos(end - begin_));
+  if (recorder_ != nullptr) {
+    recorder_->record(TraceRecorder::EventKind::kEnd, end, name_, end_key_,
+                      end_value_);
+  }
 }
 
 TraceRecorder& TraceRecorder::global() {

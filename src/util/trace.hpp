@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "util/json.hpp"
+#include "util/metrics.hpp"
 #include "util/sync.hpp"
 
 namespace extdict::util {
@@ -83,17 +84,7 @@ class TraceRecorder {
 
   // -- recording (no-ops while disabled) -------------------------------------
 
-  /// Opens a phase on this thread's timeline. Up to two named integer args
-  /// ride on the event (payload words, peer rank, iteration, ...). Prefer
-  /// `TraceScope` — begin/end must nest per thread, exactly like braces.
-  void begin(std::string_view name, std::string_view key0 = {},
-             std::uint64_t value0 = 0, std::string_view key1 = {},
-             std::uint64_t value1 = 0) EXTDICT_EXCLUDES(mu_);
-
-  /// Closes the innermost open phase named `name`; an optional arg (e.g. the
-  /// received word count, known only at completion) merges into the slice.
-  void end(std::string_view name, std::string_view key0 = {},
-           std::uint64_t value0 = 0) EXTDICT_EXCLUDES(mu_);
+  // Phases (begin/end pairs) are recorded by TraceScope only.
 
   /// Zero-duration marker (abort, iteration boundary, ...).
   void instant(std::string_view name, std::string_view key0 = {},
@@ -152,20 +143,12 @@ class TraceRecorder {
   struct ThreadBuffer;
 
   [[nodiscard]] ThreadBuffer& thread_buffer() EXTDICT_EXCLUDES(mu_);
-  void record(EventKind kind, std::string_view name, std::string_view key0,
-              std::uint64_t value0, std::string_view key1, std::uint64_t value1)
-      EXTDICT_EXCLUDES(mu_);
-  /// TraceScope's destructor path: records the end event regardless of the
-  /// enabled switch, so a scope opened while enabled always closes balanced.
-  void end_unchecked(std::string_view name, std::string_view key0,
-                     std::uint64_t value0) EXTDICT_EXCLUDES(mu_);
-
-  [[nodiscard]] std::uint64_t now_ns() const noexcept {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - epoch_)
-            .count());
-  }
+  /// Appends one event stamped `at`, whatever the enabled switch says: the
+  /// public calls check it first, and TraceScope closes what it opened.
+  void record(EventKind kind, std::chrono::steady_clock::time_point at,
+              std::string_view name, std::string_view key0,
+              std::uint64_t value0, std::string_view key1 = {},
+              std::uint64_t value1 = 0) EXTDICT_EXCLUDES(mu_);
 
   std::atomic<bool> enabled_{false};
   const std::chrono::steady_clock::time_point epoch_;
@@ -179,20 +162,22 @@ class TraceRecorder {
   Json::Object metadata_ EXTDICT_GUARDED_BY(mu_);
 };
 
-/// RAII trace slice, the timeline analogue of `SpanTimer`: begin at
-/// construction, end at scope exit. Latches `enabled()` once — a disabled
-/// recorder costs one relaxed load and nothing else. The name (a borrowed
-/// view, use literals) must outlive the recorder, like every event name.
+/// RAII phase scope, the one instrumentation primitive: a trace slice
+/// (begin at construction, end at scope exit) and, in the span form, one
+/// completion of a registry span — both timed by the same two clock reads,
+/// so the span's seconds are exactly the slice's end minus begin.
+///
+/// Each switch is latched once, at construction. A disabled recorder costs
+/// one relaxed load and nothing else. In the span form the registry's switch
+/// gates the whole scope: a registry disabled at construction records
+/// neither the span nor the slice. Names are borrowed views (use literals)
+/// that must outlive the recorder, like every event name.
 class TraceScope {
  public:
   TraceScope(TraceRecorder& recorder, std::string_view name,
              std::string_view key0 = {}, std::uint64_t value0 = 0,
              std::string_view key1 = {}, std::uint64_t value1 = 0) {
-    if (recorder.enabled()) {
-      recorder_ = &recorder;
-      name_ = name;
-      recorder.begin(name, key0, value0, key1, value1);
-    }
+    if (recorder.enabled()) open(&recorder, name, key0, value0, key1, value1);
   }
 
   /// Traces into the global recorder.
@@ -200,6 +185,20 @@ class TraceScope {
                       std::uint64_t value0 = 0, std::string_view key1 = {},
                       std::uint64_t value1 = 0)
       : TraceScope(TraceRecorder::global(), name, key0, value0, key1, value1) {}
+
+  /// Span form: traces `name` into the global recorder and adds the scope's
+  /// duration to `span`, a handle resolved once (hot paths resolve it when
+  /// their owner is constructed, not per scope).
+  TraceScope(MetricsRegistry::Span& span, std::string_view name,
+             std::string_view key0 = {}, std::uint64_t value0 = 0,
+             std::string_view key1 = {}, std::uint64_t value1 = 0) {
+    if (span.enabled()) {
+      span_ = &span;
+      TraceRecorder& recorder = TraceRecorder::global();
+      open(recorder.enabled() ? &recorder : nullptr, name, key0, value0, key1,
+           value1);
+    }
+  }
 
   TraceScope(const TraceScope&) = delete;
   TraceScope& operator=(const TraceScope&) = delete;
@@ -212,13 +211,20 @@ class TraceScope {
   }
 
   ~TraceScope() {
-    if (recorder_ != nullptr) {
-      recorder_->end_unchecked(name_, end_key_, end_value_);
-    }
+    if (recorder_ != nullptr || span_ != nullptr) close();
   }
 
  private:
+  /// Reads the start clock and, with a recorder, records the begin event.
+  void open(TraceRecorder* recorder, std::string_view name,
+            std::string_view key0, std::uint64_t value0, std::string_view key1,
+            std::uint64_t value1);
+  /// Reads the end clock once for both the end event and the span.
+  void close();
+
   TraceRecorder* recorder_ = nullptr;
+  MetricsRegistry::Span* span_ = nullptr;
+  std::chrono::steady_clock::time_point begin_{};
   std::string_view name_;
   std::string_view end_key_;
   std::uint64_t end_value_ = 0;

@@ -6,6 +6,7 @@
 #include "la/blas.hpp"
 #include "la/cholesky.hpp"
 #include "la/random.hpp"
+#include "util/contracts.hpp"
 
 namespace extdict::solvers {
 namespace {
@@ -65,6 +66,7 @@ TEST(ConjugateGradient, Validation) {
   DenseGramOperator op(a);
   la::Vector wrong(6);
   EXPECT_THROW(conjugate_gradient(op, wrong, {}), std::invalid_argument);
+  EXPECT_THROW(conjugate_gradient(op, wrong, {}), util::ContractViolation);
   la::Vector b(5, 1.0);
   CgConfig bad;
   bad.shift = -1;

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "core/dist_gram.hpp"
 #include "data/subspace.hpp"
 #include "la/blas.hpp"
+#include "sparsecoding/batch_omp.hpp"
 
 namespace extdict::core {
 namespace {
@@ -80,6 +84,41 @@ TEST(DistExd, CodingWorkIsDistributed) {
     hi = std::max(hi, coding);
   }
   EXPECT_LT(hi, 3 * lo + 10000);
+}
+
+TEST(DistExd, RankFlopsAreTheMeteredEncodeCost) {
+  // Each rank charges its Gram precompute plus the metered `code.flops` of
+  // every column it codes. The closed form `encode_flops(nnz)` is only the
+  // clean-run value: a zero column stops after <x, x> (2M FLOPs, where the
+  // model says 2M + 2ML), so every rank gets one.
+  Matrix a = test_data(605);
+  const Index p = 4;
+  const ColumnPartition part{a.cols(), p};
+  for (Index r = 0; r < p; ++r) {
+    const auto column = a.col(part.begin(r) + 3);
+    std::fill(column.begin(), column.end(), la::Real{0});
+  }
+  ExdConfig config;
+  config.dictionary_size = 50;
+  config.tolerance = 0.05;
+  const dist::Cluster cluster(dist::Topology{1, p});
+  const DistExdResult r = exd_transform_distributed(cluster, a, config);
+
+  sparsecoding::OmpConfig omp;
+  omp.tolerance = config.tolerance;
+  omp.max_atoms = config.max_atoms;
+  const sparsecoding::BatchOmp coder(r.exd.dictionary, omp);
+  const std::uint64_t gram_flops = 2u * 40 * 50 * 50;
+  ASSERT_EQ(r.stats.per_rank.size(), static_cast<std::size_t>(p));
+  for (Index rank = 0; rank < p; ++rank) {
+    std::uint64_t coding = 0;
+    for (Index j = part.begin(rank); j < part.end(rank); ++j) {
+      coding += coder.encode(a.col(j)).flops;
+    }
+    EXPECT_EQ(r.stats.per_rank[static_cast<std::size_t>(rank)].flops,
+              gram_flops + coding)
+        << "rank " << rank;
+  }
 }
 
 TEST(DistExd, Validation) {

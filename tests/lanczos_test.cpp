@@ -10,6 +10,7 @@
 #include "la/random.hpp"
 #include "la/svd.hpp"
 #include "solvers/power_method.hpp"
+#include "util/contracts.hpp"
 
 namespace extdict::solvers {
 namespace {
@@ -45,6 +46,13 @@ TEST(TridiagonalEigen, Known2x2) {
       EXPECT_NEAR(std::abs(z(i, j)), 1 / std::sqrt(2.0), 1e-10);
     }
   }
+}
+
+TEST(TridiagonalEigen, EigenvectorShapeContractThrows) {
+  std::vector<Real> d = {2, 2};
+  std::vector<Real> e = {1, 0};
+  Matrix z(2, 3);  // one column per eigenpair is required
+  EXPECT_THROW(tridiagonal_eigen(d, e, &z), util::ContractViolation);
 }
 
 TEST(TridiagonalEigen, MatchesJacobiOnRandomTridiagonal) {

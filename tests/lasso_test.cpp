@@ -9,6 +9,7 @@
 #include "la/blas.hpp"
 #include "la/random.hpp"
 #include "solvers/adagrad.hpp"
+#include "util/contracts.hpp"
 
 namespace extdict::solvers {
 namespace {
@@ -50,6 +51,13 @@ TEST(Adagrad, Validation) {
   Adagrad ada(2, 0.1);
   la::Vector bad = {1.0};
   EXPECT_THROW(ada.accumulate(bad), std::invalid_argument);
+  // The size checks are shape contracts.
+  la::Vector gradient = {1.0, 2.0};
+  la::Vector x = {0.0, 0.0, 0.0};
+  EXPECT_THROW(ada.accumulate(bad), util::ContractViolation);
+  EXPECT_THROW(ada.step(bad, std::span<Real>(x).first(2)),
+               util::ContractViolation);
+  EXPECT_THROW(ada.step(gradient, x), util::ContractViolation);
 }
 
 struct LassoProblem {
@@ -168,6 +176,10 @@ TEST(Lasso, SizeMismatchThrows) {
   DenseGramOperator op(p.a);
   la::Vector bad(21);
   EXPECT_THROW(lasso_solve(op, bad, {}), std::invalid_argument);
+  const la::Vector x(50, 0.0);
+  EXPECT_THROW((void)elastic_net_objective(op, bad, x, 0.1, 0.1),
+               util::ContractViolation);
+  EXPECT_THROW((void)lasso_objective(op, bad, x, 0.1), util::ContractViolation);
 }
 
 TEST(Lasso, DistributedSizeMismatchThrows) {

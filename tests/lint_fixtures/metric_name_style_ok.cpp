@@ -11,13 +11,24 @@ struct Registry {
   void add(const std::string&, std::uint64_t) {}
   struct G { void set(std::int64_t) {} };
   G& gauge(const std::string&) { static G g; return g; }
-  void observe_windowed(const std::string&, double) {}
+  void observe(const std::string&, double) {}
 };
 
-void instrument(Registry& registry, int rank, const std::string& dynamic) {
+struct Recorder {
+  void instant(const std::string&) {}
+};
+
+struct TraceScope {
+  TraceScope(Recorder&, const std::string&) {}
+};
+
+void instrument(Registry& registry, Recorder& trace, int rank,
+                const std::string& dynamic) {
   registry.add("serve.submitted", 1);
   registry.gauge("serve.queue.depth").set(3);
-  registry.observe_windowed("serve.latency.total_seconds", 1e-3);
+  registry.observe("serve.latency.total_seconds", 1e-3);
+  trace.instant("serve.request.submit");
+  const TraceScope scope(trace, "serve.batch.encode");
   registry.add("trace.events.rank" + std::to_string(rank), 1);
   // extdict-lint: allow(metric-name-style) legacy dashboard key, renamed in v2
   registry.add("Legacy-Dashboard-Key", 1);

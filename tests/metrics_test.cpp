@@ -72,6 +72,54 @@ TEST(Metrics, DisabledRegistryDropsConvenienceMutations) {
   EXPECT_EQ(registry.value("c"), 3u);
 }
 
+TEST(Metrics, HandlesHonourTheSwitchLikeTheNameKeyedCalls) {
+  // Hot paths record through handles resolved once; each drops exactly what
+  // its name-keyed shorthand drops while the registry is disabled — the
+  // switch run_benchmarks' instrumentation_overhead toggles.
+  MetricsRegistry registry;
+  MetricsRegistry::Counter& counter = registry.counter("c");
+  MetricsRegistry::Counter& peak = registry.counter("m");
+  MetricsRegistry::Span& span = registry.span("s");
+  MetricsRegistry::Distribution& latency = registry.distribution("h");
+  Tally tally(registry.counter("t"));
+
+  registry.set_enabled(false);
+  counter.add(10);
+  registry.add("c", 10);
+  peak.update_max(9);
+  registry.update_max("m", 9);
+  span.record(1.0);
+  registry.record_span("s", 1.0);
+  latency.observe(1e-3);
+  registry.observe("h", 1e-3);
+  tally.add(4);
+  EXPECT_EQ(registry.value("c"), 0u);
+  EXPECT_EQ(registry.value("m"), 0u);
+  EXPECT_EQ(registry.span_count("s"), 0u);
+  EXPECT_EQ(registry.histogram("h").count(), 0u);
+  EXPECT_EQ(registry.value("t"), 0u);
+  EXPECT_EQ(tally.value(), 4u);  // the component's own total is always on
+
+  registry.set_enabled(true);
+  counter.add(2);
+  registry.add("c", 3);
+  peak.update_max(7);
+  registry.update_max("m", 5);
+  span.record(0.5);
+  registry.record_span("s", 0.25);
+  latency.observe(1e-3);
+  registry.observe("h", 2e-3);
+  tally.add(1);
+  EXPECT_EQ(registry.value("c"), 5u);
+  EXPECT_EQ(registry.value("m"), 7u);
+  EXPECT_EQ(registry.span_count("s"), 2u);
+  EXPECT_DOUBLE_EQ(registry.span_seconds("s"), 0.75);
+  EXPECT_EQ(registry.histogram("h").count(), 2u);
+  EXPECT_EQ(latency.window_count(), 2u);  // one cell feeds both views
+  EXPECT_EQ(registry.value("t"), 1u);
+  EXPECT_EQ(tally.value(), 5u);
+}
+
 TEST(Metrics, JsonSnapshotRoundTrips) {
   MetricsRegistry registry;
   registry.add("b.flops", 123456789);
@@ -79,7 +127,7 @@ TEST(Metrics, JsonSnapshotRoundTrips) {
   registry.record_span("solve", 0.25);
   registry.record_span("solve", 0.5);
   registry.gauge("q.depth").set(3);
-  registry.observe_windowed("lat.total", 1e-3);
+  registry.observe("lat.total", 1e-3);
 
   const Json snapshot = registry.to_json();
   const Json reparsed = Json::parse(snapshot.dump(2));
@@ -121,7 +169,7 @@ TEST(Metrics, SnapshotSeqSurvivesResetButStateClears) {
   // dumps and detect the reset; the state itself is cleared.
   EXPECT_EQ(after.at("snapshot_seq").as_u64(), 3u);
   EXPECT_EQ(registry.value("c"), 0u);
-  EXPECT_EQ(registry.gauge_value("g"), 0);
+  EXPECT_EQ(registry.gauge("g").value(), 0);
 }
 
 TEST(Histogram, ExactMomentsAndSaturatingBuckets) {
@@ -247,22 +295,22 @@ TEST(Metrics, RegistryHistogramsObserveResetAndEmit) {
   MetricsRegistry registry;
   registry.observe("lat", 1e-3);
   registry.observe("lat", 2e-3);
-  EXPECT_EQ(registry.histogram_count("lat"), 2u);
-  EXPECT_EQ(registry.histogram_count("never"), 0u);
+  EXPECT_EQ(registry.histogram("lat").count(), 2u);
+  EXPECT_EQ(registry.histogram("never").count(), 0u);
 
   registry.set_enabled(false);
   registry.observe("lat", 5e-3);  // dropped by the gate
-  EXPECT_EQ(registry.histogram_count("lat"), 2u);
+  EXPECT_EQ(registry.histogram("lat").count(), 2u);
   registry.set_enabled(true);
 
   const Json snapshot = registry.to_json();
   EXPECT_EQ(snapshot.at("histograms").at("lat").at("count").as_u64(), 2u);
 
-  Histogram& cell = registry.histogram("lat");
+  MetricsRegistry::Distribution& cell = registry.distribution("lat");
   registry.reset();
-  EXPECT_EQ(registry.histogram_count("lat"), 0u);
-  cell.record(1.0);  // handle survives reset, like counter cells
-  EXPECT_EQ(registry.histogram_count("lat"), 1u);
+  EXPECT_EQ(registry.histogram("lat").count(), 0u);
+  cell.observe(1.0);  // handle survives reset, like counter cells
+  EXPECT_EQ(registry.histogram("lat").count(), 1u);
 }
 
 TEST(Gauge, SetAddSubTrackValueAndPeak) {
@@ -319,19 +367,17 @@ TEST(Gauge, ConcurrentGuardsDrainToZero) {
 
 TEST(Metrics, RegistryGaugesResolveMutateAndGate) {
   MetricsRegistry registry;
-  registry.gauge_set("depth", 7);
-  registry.gauge_add("depth", 2);
-  registry.gauge_sub("depth", 4);
-  EXPECT_EQ(registry.gauge_value("depth"), 5);
-  EXPECT_EQ(registry.gauge_value("never"), 0);
+  registry.gauge("depth").set(7);
+  registry.gauge("depth").add(2);
+  registry.gauge("depth").sub(4);
+  EXPECT_EQ(registry.gauge("depth").value(), 5);
+  EXPECT_EQ(registry.gauge("never").value(), 0);
 
   registry.set_enabled(false);
-  registry.gauge_add("depth", 100);  // convenience path honors the gate
-  EXPECT_EQ(registry.gauge_value("depth"), 5);
-  // Direct references stay live so RAII +-/- pairs never unbalance across
-  // a mid-flight toggle.
+  // Gauges ignore the switch so RAII +/- pairs never unbalance across a
+  // mid-flight toggle.
   registry.gauge("depth").add(1);
-  EXPECT_EQ(registry.gauge_value("depth"), 6);
+  EXPECT_EQ(registry.gauge("depth").value(), 6);
   registry.set_enabled(true);
 }
 
@@ -428,13 +474,13 @@ TEST(WindowedHistogram, RecordsRacingRotationStayTsanCleanAndCumulativeExact) {
 
 TEST(Metrics, RegistryWindowedHistogramsObserveAndEmit) {
   MetricsRegistry registry;
-  registry.observe_windowed("lat", 1e-3);
-  registry.observe_windowed("lat", 2e-3);
-  EXPECT_EQ(registry.windowed_histogram("lat").cumulative().count(), 2u);
+  registry.observe("lat", 1e-3);
+  registry.observe("lat", 2e-3);
+  EXPECT_EQ(registry.histogram("lat").count(), 2u);
 
   registry.set_enabled(false);
-  registry.observe_windowed("lat", 5e-3);  // dropped by the gate
-  EXPECT_EQ(registry.windowed_histogram("lat").cumulative().count(), 2u);
+  registry.observe("lat", 5e-3);  // dropped by the gate
+  EXPECT_EQ(registry.histogram("lat").count(), 2u);
   registry.set_enabled(true);
 
   const Json snapshot = registry.to_json();
@@ -448,7 +494,7 @@ TEST(Metrics, RegistryWindowedHistogramsObserveAndEmit) {
             2u);
 
   registry.reset();
-  EXPECT_EQ(registry.windowed_histogram("lat").cumulative().count(), 0u);
+  EXPECT_EQ(registry.histogram("lat").count(), 0u);
 }
 
 TEST(Json, ParseDumpRoundTripsTrickyValues) {

@@ -328,13 +328,13 @@ TEST(ExtDictServer, LatencyHistogramsLandInGlobalRegistry) {
   util::MetricsRegistry& metrics = util::MetricsRegistry::global();
   metrics.set_enabled(true);
   const std::uint64_t before =
-      metrics.histogram_count("serve.latency.total_seconds");
+      metrics.histogram("serve.latency.total_seconds").count();
   const Index m = 16, l = 32;
   ExtDictServer server(test_dictionary(m, l), {.max_batch = 4, .workers = 1, .omp = {}});
   const auto signals = test_signals(m, 5);
   for (const auto& x : signals) (void)server.submit(x).get();
   server.stop();
-  EXPECT_EQ(metrics.histogram_count("serve.latency.total_seconds"),
+  EXPECT_EQ(metrics.histogram("serve.latency.total_seconds").count(),
             before + signals.size());
 }
 
@@ -345,13 +345,13 @@ TEST(ExtDictServer, GaugesDrainToTheirPriorLevels) {
   // servers share the process-wide names.
   util::MetricsRegistry& metrics = util::MetricsRegistry::global();
   metrics.set_enabled(true);
-  const std::int64_t depth_before = metrics.gauge_value("serve.queue.depth");
-  const std::int64_t inflight_before = metrics.gauge_value("serve.inflight");
-  const std::int64_t busy_before = metrics.gauge_value("serve.workers.busy");
+  const std::int64_t depth_before = metrics.gauge("serve.queue.depth").value();
+  const std::int64_t inflight_before = metrics.gauge("serve.inflight").value();
+  const std::int64_t busy_before = metrics.gauge("serve.workers.busy").value();
   const std::int64_t entries_before =
-      metrics.gauge_value("serve.cache.entries");
+      metrics.gauge("serve.cache.entries").value();
   const std::int64_t bytes_before =
-      metrics.gauge_value("serve.cache.resident_bytes");
+      metrics.gauge("serve.cache.resident_bytes").value();
 
   const Index m = 16, l = 32;
   {
@@ -367,23 +367,23 @@ TEST(ExtDictServer, GaugesDrainToTheirPriorLevels) {
     for (auto& f : futures) (void)f.get();
 
     // While the cache is live its occupancy gauges carry the entries.
-    EXPECT_EQ(metrics.gauge_value("serve.cache.entries"),
+    EXPECT_EQ(metrics.gauge("serve.cache.entries").value(),
               entries_before +
                   static_cast<std::int64_t>(server.cache_stats().entries));
     server.stop();
-    EXPECT_EQ(metrics.gauge_value("serve.queue.depth"), depth_before);
-    EXPECT_EQ(metrics.gauge_value("serve.inflight"), inflight_before);
-    EXPECT_EQ(metrics.gauge_value("serve.workers.busy"), busy_before);
+    EXPECT_EQ(metrics.gauge("serve.queue.depth").value(), depth_before);
+    EXPECT_EQ(metrics.gauge("serve.inflight").value(), inflight_before);
+    EXPECT_EQ(metrics.gauge("serve.workers.busy").value(), busy_before);
   }
   // Destruction returns the cache occupancy too.
-  EXPECT_EQ(metrics.gauge_value("serve.cache.entries"), entries_before);
-  EXPECT_EQ(metrics.gauge_value("serve.cache.resident_bytes"), bytes_before);
+  EXPECT_EQ(metrics.gauge("serve.cache.entries").value(), entries_before);
+  EXPECT_EQ(metrics.gauge("serve.cache.resident_bytes").value(), bytes_before);
 }
 
 TEST(ExtDictServer, DiscardedRequestsLeaveTheDepthGauge) {
   util::MetricsRegistry& metrics = util::MetricsRegistry::global();
   metrics.set_enabled(true);
-  const std::int64_t depth_before = metrics.gauge_value("serve.queue.depth");
+  const std::int64_t depth_before = metrics.gauge("serve.queue.depth").value();
   const Index m = 16, l = 32;
   ExtDictServer server(test_dictionary(m, l),
                        {.max_batch = 1,
@@ -406,7 +406,7 @@ TEST(ExtDictServer, DiscardedRequestsLeaveTheDepthGauge) {
   const ServerStats s = server.stats();
   expect_accounting_identities(s);
   // Whether served or discarded, every accepted request left the queue.
-  EXPECT_EQ(metrics.gauge_value("serve.queue.depth"), depth_before);
+  EXPECT_EQ(metrics.gauge("serve.queue.depth").value(), depth_before);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include "core/exd.hpp"
 #include "la/blas.hpp"
 #include "la/random.hpp"
+#include "util/contracts.hpp"
 
 namespace extdict::solvers {
 namespace {
@@ -113,6 +114,11 @@ TEST(LsSvm, Validation) {
   const LsSvm svm(op, data.labels, {});
   la::Vector wrong_dim(11);
   EXPECT_THROW((void)svm.decision(wrong_dim), std::invalid_argument);
+  // The size checks are shape contracts.
+  EXPECT_THROW(LsSvm(op, short_labels, {}), util::ContractViolation);
+  EXPECT_THROW((void)svm.decision(wrong_dim), util::ContractViolation);
+  EXPECT_THROW((void)training_accuracy(svm, short_labels),
+               util::ContractViolation);
 }
 
 TEST(LsSvm, SofterMarginShrinksDualCoefficients) {

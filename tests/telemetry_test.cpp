@@ -60,7 +60,7 @@ TEST(TelemetrySnapshotter, WritesParseableOrderedRecords) {
   MetricsRegistry registry;
   registry.add("pass.counter", 7);
   registry.gauge("pass.level").set(3);
-  registry.observe_windowed("pass.lat", 1e-3);
+  registry.observe("pass.lat", 1e-3);
   {
     TelemetrySnapshotter snapshotter(registry, file.path(),
                                      TelemetryOptions{.period_ms = 5});
@@ -140,7 +140,7 @@ TEST(TelemetrySnapshotter, RunsCleanUnderConcurrentMetricWriters) {
       while (!stop.load(std::memory_order_relaxed)) {
         registry.add("race.counter", 1);
         const GaugeGuard guard(level);
-        registry.observe_windowed("race.lat", (t + 1) * 1e-5);
+        registry.observe("race.lat", (t + 1) * 1e-5);
       }
     });
   }

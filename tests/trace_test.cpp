@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -42,10 +43,10 @@ TEST(Trace, ConcurrentWritersKeepAllEvents) {
     threads.emplace_back([&recorder, t] {
       recorder.set_thread_rank(t);
       for (int i = 0; i < kScopesPerThread; ++i) {
-        recorder.begin("work", "i", static_cast<std::uint64_t>(i));
+        const TraceScope scope(recorder, "work", "i",
+                               static_cast<std::uint64_t>(i));
         recorder.instant("tick");
         recorder.counter("value", static_cast<std::uint64_t>(i));
-        recorder.end("work");
       }
     });
   }
@@ -94,8 +95,6 @@ TEST(Trace, RingOverflowIsCountedExactly) {
 
 TEST(Trace, DisabledRecorderRecordsNothing) {
   TraceRecorder recorder;  // disabled by default
-  recorder.begin("a");
-  recorder.end("a");
   recorder.instant("b");
   recorder.counter("c", 1);
   {
@@ -111,6 +110,71 @@ TEST(Trace, DisabledRecorderRecordsNothing) {
     recorder.set_enabled(false);
   }
   EXPECT_EQ(recorder.recorded_events(), 2u);
+}
+
+TEST(Trace, SpanScopeTimesSpanAndSliceWithOneClockPair) {
+  // The span form adds one completion to the registry span, and its
+  // duration is exactly the exported slice's end minus begin: both come
+  // from the same two clock reads.
+  MetricsRegistry registry;
+  MetricsRegistry::Span& span = registry.span("test.phase");
+  TraceRecorder& trace = TraceRecorder::global();
+  trace.clear();
+  trace.set_enabled(true);
+  {
+    const TraceScope phase(span, "test.phase", "iteration", 3);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  trace.set_enabled(false);
+  const Json doc = trace.to_chrome_json();
+  trace.clear();
+
+  EXPECT_EQ(registry.span_count("test.phase"), 1u);
+  double begin_us = -1, end_us = -1;
+  for (const Json& ev : doc.at("traceEvents").as_array()) {
+    if (ev.at("name").as_string() != "test.phase") continue;
+    const std::string& ph = ev.at("ph").as_string();
+    if (ph == "B") begin_us = ev.at("ts").as_double();
+    if (ph == "E") end_us = ev.at("ts").as_double();
+  }
+  ASSERT_GE(begin_us, 0.0);
+  ASSERT_GT(end_us, begin_us);
+  EXPECT_NEAR(registry.span_seconds("test.phase"), (end_us - begin_us) * 1e-6,
+              1e-12);
+  EXPECT_GE(registry.span_seconds("test.phase"), 1e-3);
+}
+
+TEST(Trace, SpanScopeLatchesTheRegistrySwitch) {
+  MetricsRegistry registry;
+  MetricsRegistry::Span& span = registry.span("test.gated");
+  TraceRecorder& trace = TraceRecorder::global();
+  trace.clear();
+  trace.set_enabled(true);
+  registry.set_enabled(false);
+  {
+    // Disabled at construction: neither the span nor the slice, even if
+    // the registry is enabled before the scope closes.
+    const TraceScope phase(span, "test.gated");
+    registry.set_enabled(true);
+  }
+  EXPECT_EQ(registry.span_count("test.gated"), 0u);
+  EXPECT_EQ(trace.recorded_events(), 0u);
+  {
+    // Enabled at construction: the scope closes whole.
+    const TraceScope phase(span, "test.gated");
+    registry.set_enabled(false);
+  }
+  EXPECT_EQ(registry.span_count("test.gated"), 1u);
+  EXPECT_EQ(trace.recorded_events(), 2u);  // one balanced B/E pair
+  trace.set_enabled(false);
+  registry.set_enabled(true);
+  {
+    // Tracing off: the span alone.
+    const TraceScope phase(span, "test.gated");
+  }
+  EXPECT_EQ(registry.span_count("test.gated"), 2u);
+  EXPECT_EQ(trace.recorded_events(), 2u);
+  trace.clear();
 }
 
 TEST(Trace, ChromeJsonRoundTripsAndIsWellFormed) {

@@ -9,9 +9,10 @@ Enforces project rules the generic .clang-tidy configuration cannot express:
                          annotated wrappers so the locking protocol stays
                          visible to -Wthread-safety.
 
-  missing-shape-contract every public kernel entry in src/la/ and
-                         src/sparsecoding/ (a non-helper function taking a
-                         Matrix / CscMatrix / span / Vector) calls
+  missing-shape-contract every public kernel entry in src/la/,
+                         src/sparsecoding/ and src/solvers/ (a non-helper
+                         function taking a Matrix / CscMatrix / span /
+                         Vector) calls
                          EXTDICT_REQUIRE_SHAPE before its first loop touches
                          the data. Waive intentionally shape-free entries
                          with `// extdict-lint: allow(missing-shape-contract)
@@ -40,9 +41,9 @@ Enforces project rules the generic .clang-tidy configuration cannot express:
                          gate; tools/extdict-analyze.py's omp-sharing rule
                          does the whole-program race verification on top.
 
-  metric-name-style      string literals handed to metric registration /
-                         mutation calls (counter, add, gauge*, span,
-                         SpanTimer, observe_windowed, ...) must be lowercase
+  metric-name-style      string literals handed to metric and trace entry
+                         points (counter, add, gauge, span, observe,
+                         histogram, instant, TraceScope, ...) must be lowercase
                          dot-paths: [a-z0-9_]+ segments joined by single
                          dots (docs/OBSERVABILITY.md §1). Snapshots sort
                          keys lexicographically, so one CamelCase name
@@ -123,13 +124,18 @@ CONTROL_KEYWORDS = {"if", "for", "while", "switch", "catch", "return", "do", "el
 OMP_PARALLEL_RE = re.compile(r"^\s*#\s*pragma\s+omp\s+parallel\b")
 DEFAULT_NONE_RE = re.compile(r"\bdefault\s*\(\s*none\s*\)")
 
-# Metric/trace registration and mutation entry points whose first argument
-# is the metric name. `span` doubles as the conventional SpanTimer variable
-# name, so both the type and the idiomatic spelling are covered.
+# MetricsRegistry and TraceRecorder entry points whose first argument is the
+# metric or event name.
 METRIC_CALL_RE = re.compile(
-    r"\b(?:counter|add|gauge|gauge_set|gauge_add|gauge_sub|gauge_value"
-    r"|observe_windowed|window_quantile|window_count|span|SpanTimer"
-    r"|TraceScope)\s*\(\s*\"([^\"]*)\""
+    r"\b(?:counter|add|update_max|value|span|record_span|span_seconds"
+    r"|span_count|gauge|distribution|observe|histogram|instant|TraceScope)"
+    r"\s*\(\s*\"([^\"]*)\""
+)
+# A named TraceScope whose name literal comes first or after one leading
+# argument (the recorder, or the span handle of the span form).
+TRACE_SCOPE_RE = re.compile(
+    r"\bTraceScope\s+\w+\s*[({]\s*(?:[\w:.]+(?:\([^()]*\)[\w:.]*)*\s*,\s*)?"
+    r"\"([^\"]*)\""
 )
 # Lowercase dot-path: [a-z0-9_]+ segments joined by single dots. Names built
 # by concatenation (`"trace.events.rank" + ...`) are checked on their literal
@@ -479,7 +485,8 @@ def check_file(path: Path, rel: str, violations: list[Violation]) -> None:
     # The default mask blanks string literals, so this rule scans a
     # comments-only mask where the literals survive.
     literals_visible = mask_comments_and_strings(text, keep_strings=True)
-    for m in METRIC_CALL_RE.finditer(literals_visible):
+    for m in [*METRIC_CALL_RE.finditer(literals_visible),
+              *TRACE_SCOPE_RE.finditer(literals_visible)]:
         name = m.group(1)
         if METRIC_NAME_RE.match(name):
             continue
@@ -493,7 +500,7 @@ def check_file(path: Path, rel: str, violations: list[Violation]) -> None:
             "docs/OBSERVABILITY.md)"))
 
     # -- shape contracts at kernel entry --------------------------------------
-    if (rel_posix.startswith(("src/la/", "src/sparsecoding/"))
+    if (rel_posix.startswith(("src/la/", "src/sparsecoding/", "src/solvers/"))
             and rel_posix.endswith(".cpp")):
         anon_spans = anonymous_namespace_spans(masked)
         for header_start, name, params, body_start, body_end in \
@@ -563,6 +570,7 @@ def self_test(repo_root: Path) -> int:
         print(f"extdict-lint: no fixtures at {fixture_root}", file=sys.stderr)
         return 2
     expect_re = re.compile(r"extdict-lint-expect:\s*([\w\s-]+)")
+    hit_mark_re = re.compile(r"//\s*extdict-lint-hit\s*$")
     failures = 0
     fixtures = sorted(fixture_root.rglob("*.cpp"))
     if not fixtures:
@@ -580,7 +588,16 @@ def self_test(repo_root: Path) -> int:
         violations: list[Violation] = []
         check_file(path, rel, violations)
         found = {v.rule for v in violations}
-        if found != expected:
+        # Opt-in line check: when a fixture ends lines with
+        # `// extdict-lint-hit`, exactly those lines must be flagged.
+        marked = {n for n, line in enumerate(text.splitlines(), start=1)
+                  if hit_mark_re.search(line)}
+        flagged = {v.line for v in violations}
+        if marked and marked != flagged:
+            print(f"SELF-TEST FAIL {rel}: marked lines {sorted(marked)}, "
+                  f"flagged lines {sorted(flagged)}")
+            failures += 1
+        elif found != expected:
             print(f"SELF-TEST FAIL {rel}: expected {sorted(expected) or '[]'}, "
                   f"found {sorted(found) or '[]'}")
             for v in violations:
