@@ -25,6 +25,11 @@ Matrix select_extension_atoms(const Matrix& hard, const ExdConfig& config) {
 EvolveReport evolve(ExdResult& exd, const Matrix& a_new, const ExdConfig& config) {
   EXTDICT_REQUIRE_SHAPE(a_new.rows() == exd.dictionary.rows(),
                         "evolve: row mismatch with existing dictionary");
+  // Checked here, before the parallel coding loop: a contract thrown from
+  // inside an OpenMP region cannot propagate and would terminate instead.
+  EXTDICT_CHECK_FINITE(
+      std::span<const Real>(a_new.data(), static_cast<std::size_t>(a_new.size())),
+      "evolve: new columns");
   EvolveReport report;
   report.new_columns = a_new.cols();
   if (a_new.cols() == 0) return report;

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <map>
 #include <stdexcept>
 
@@ -152,61 +151,6 @@ CscMatrix read_matrix_market_sparse(const std::string& path) {
     builder.commit_column();
   }
   return std::move(builder).build();
-}
-
-namespace {
-constexpr std::uint64_t kBinaryMagic = 0x4558544449435401ULL;  // "EXTDICT\x01"
-}
-
-// extdict-lint: allow(missing-shape-contract) any matrix is serialisable; I/O errors are std::runtime_error
-void write_binary(const Matrix& a, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("write_binary: cannot create " + path);
-  const std::uint64_t header[3] = {kBinaryMagic,
-                                   static_cast<std::uint64_t>(a.rows()),
-                                   static_cast<std::uint64_t>(a.cols())};
-  out.write(reinterpret_cast<const char*>(header), sizeof(header));
-  if (a.size() > 0) {  // empty matrix: data() may be null, skip the write
-    out.write(reinterpret_cast<const char*>(a.data()),
-              static_cast<std::streamsize>(a.size() * static_cast<Index>(sizeof(Real))));
-  }
-  if (!out) throw std::runtime_error("write_binary: write failed " + path);
-}
-
-Matrix read_binary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("read_binary: cannot open " + path);
-  std::uint64_t header[3] = {};
-  in.read(reinterpret_cast<char*>(header), sizeof(header));
-  if (!in || header[0] != kBinaryMagic) {
-    throw std::runtime_error("read_binary: bad magic in " + path);
-  }
-  // Validate the claimed shape against the actual payload size BEFORE
-  // allocating: a corrupt header must produce a clean error, not an Index
-  // overflow or a wild allocation.
-  const std::uint64_t rows = header[1];
-  const std::uint64_t cols = header[2];
-  if (rows > static_cast<std::uint64_t>(kMaxDim) ||
-      cols > static_cast<std::uint64_t>(kMaxDim) ||
-      (cols != 0 &&
-       rows > std::numeric_limits<std::uint64_t>::max() / sizeof(Real) / cols)) {
-    throw std::runtime_error("read_binary: implausible dimensions in " + path);
-  }
-  const std::uint64_t payload_bytes = rows * cols * sizeof(Real);
-  std::error_code ec;
-  const std::uint64_t file_bytes = std::filesystem::file_size(path, ec);
-  if (ec || file_bytes != sizeof(header) + payload_bytes) {
-    throw std::runtime_error("read_binary: payload size mismatch in " + path);
-  }
-  Matrix a(static_cast<Index>(rows), static_cast<Index>(cols));
-  if (payload_bytes > 0) {  // empty matrix: data() may be null, skip the read
-    in.read(reinterpret_cast<char*>(a.data()),
-            static_cast<std::streamsize>(payload_bytes));
-    if (!in) {
-      throw std::runtime_error("read_binary: truncated payload " + path);
-    }
-  }
-  return a;
 }
 
 }  // namespace extdict::la

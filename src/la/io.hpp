@@ -9,7 +9,9 @@ namespace extdict::la {
 
 /// Matrix Market I/O — the interchange format hyperspectral / morphology
 /// datasets are commonly shipped in, so the library can run on real data
-/// as well as the synthetic generators.
+/// as well as the synthetic generators. It is also the library's one
+/// persistence format: a transform is reused across sessions (§IV) by saving
+/// D as a dense and C as a sparse file (`extdict_cli --save-dict/--save-coeffs`).
 ///
 /// Supported flavours:
 ///   * "%%MatrixMarket matrix array real general"      <-> dense Matrix
@@ -29,10 +31,5 @@ void write_matrix_market(const CscMatrix& a, const std::string& path);
 /// Reads a coordinate-format file into a CSC matrix (duplicate entries are
 /// summed, as is conventional).
 [[nodiscard]] CscMatrix read_matrix_market_sparse(const std::string& path);
-
-/// Raw binary round-trip (fast checkpointing of transforms): a small header
-/// then the column-major payload.
-void write_binary(const Matrix& a, const std::string& path);
-[[nodiscard]] Matrix read_binary(const std::string& path);
 
 }  // namespace extdict::la

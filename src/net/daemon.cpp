@@ -69,13 +69,10 @@ Daemon::Daemon(std::shared_ptr<serve::ExtDictServer> server,
     : config_(config),
       server_(std::move(server)),
       listener_(listen_on(config_.bind_address, config_.port,
-                          config_.backlog)),
+                          kListenBacklog)),
       port_(local_port(listener_)),
       wake_pipe_(make_wake_pipe()),
-      pending_(config_.reply_queue_capacity == 0
-                   ? 1
-                   : config_.reply_queue_capacity,
-               serve::BackpressurePolicy::kBlock),
+      pending_(kReplyQueueCapacity, serve::BackpressurePolicy::kBlock),
       connections_gauge_(
           util::MetricsRegistry::global().gauge("net.connections")),
       wire_latency_(util::MetricsRegistry::global().distribution(
@@ -133,8 +130,8 @@ void Daemon::poll_loop() {
 
     std::size_t index = 1;
     if (fds[index].revents != 0) {
-      if (auto accepted = accept_on(listener_, config_.send_timeout_ms)) {
-        if (conns_.size() < config_.max_connections) {
+      if (auto accepted = accept_on(listener_, kSendTimeoutMs)) {
+        if (conns_.size() < kMaxConnections) {
           connections_accepted_.add(1);
           connections_gauge_.add(1);
           conns_.push_back(std::make_shared<Connection>(std::move(*accepted)));

@@ -22,16 +22,17 @@ namespace extdict::net {
 struct DaemonConfig {
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 picks an ephemeral port; read it via port()
-  int backlog = 64;
-  /// Pending-reply FIFO capacity. The poll thread blocks pushing into a full
-  /// FIFO, which stops it reading — backpressure propagates to every client
-  /// through TCP flow control, exactly the network-transparent contract.
-  std::size_t reply_queue_capacity = 1024;
-  std::size_t max_connections = 256;  ///< arrivals beyond this are refused
-  /// SO_SNDTIMEO per connection: a stalled peer fails its reply write after
-  /// this long instead of wedging the single reply writer forever.
-  int send_timeout_ms = 10000;
 };
+
+inline constexpr int kListenBacklog = 64;
+/// Pending-reply FIFO capacity. The poll thread blocks pushing into a full
+/// FIFO, which stops it reading — backpressure propagates to every client
+/// through TCP flow control, exactly the network-transparent contract.
+inline constexpr std::size_t kReplyQueueCapacity = 1024;
+inline constexpr std::size_t kMaxConnections = 256;  ///< arrivals beyond this are refused
+/// SO_SNDTIMEO per connection: a stalled peer fails its reply write after
+/// this long instead of wedging the single reply writer forever.
+inline constexpr int kSendTimeoutMs = 10000;
 
 /// Monotone wire-side accounting, one cell per admission/egress outcome.
 /// Identities once the daemon has stopped (pinned by tests and the bench):
@@ -41,7 +42,7 @@ struct DaemonConfig {
 /// books join on `submitted` (every submitted frame is one submit() call).
 struct DaemonStats {
   std::uint64_t connections_accepted = 0;
-  std::uint64_t connections_refused = 0;  ///< over max_connections
+  std::uint64_t connections_refused = 0;  ///< over kMaxConnections
   std::uint64_t frames_received = 0;      ///< complete, well-formed requests
   std::uint64_t malformed_closes = 0;     ///< connections dropped on bad bytes
   std::uint64_t invalid_payloads = 0;     ///< non-finite signals, refused here

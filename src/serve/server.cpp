@@ -14,6 +14,8 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+constexpr std::size_t kCacheShards = 8;  ///< independent LRU shards (lock striping)
+
 double seconds_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
 }
@@ -53,7 +55,7 @@ ExtDictServer::ExtDictServer(std::shared_ptr<DictRegistry> registry,
       registry_(std::move(registry)),
       cache_(config_.cache_capacity > 0
                  ? std::make_unique<EncodeCache>(config_.cache_capacity,
-                                                 config_.cache_shards)
+                                                 kCacheShards)
                  : nullptr),
       queue_(config.queue_capacity, config.backpressure),
       queue_depth_gauge_(gauge("serve.queue.depth")),

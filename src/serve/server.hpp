@@ -93,7 +93,6 @@ struct ServerConfig {
   /// Encode-cache entry budget; 0 disables the cache entirely (every
   /// request runs Batch-OMP, the pre-cache behaviour).
   std::size_t cache_capacity = 0;
-  std::size_t cache_shards = 8;   ///< independent LRU shards (lock striping)
 };
 
 enum class StopMode {

@@ -168,6 +168,11 @@ la::CscMatrix BatchOmp::encode_all(const Matrix& signals) const {
                             std::to_string(signals.rows()) +
                             " rows but dictionary has " +
                             std::to_string(dict_->rows()));
+  // Checked before the parallel loop: encode()'s own check would throw
+  // inside the OpenMP region, where an exception terminates the process.
+  EXTDICT_CHECK_FINITE(std::span<const Real>(signals.data(),
+                                             static_cast<std::size_t>(signals.size())),
+                       "BatchOmp::encode_all: signals");
   const Index n = signals.cols();
   // extdict-lint: allow(trace-in-hot-path) one phase per encode_all call, not per column
   const util::TraceScope phase(

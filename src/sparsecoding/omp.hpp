@@ -44,8 +44,11 @@ struct SparseCode {
 /// Straightforward implementation of Alg. 1 step 3: pick the atom with the
 /// largest correlation to the residual, re-solve the least-squares fit on
 /// the selected set, update the residual. O(k) least-squares re-solves make
-/// it slower than `BatchOmp` but trivially auditable — tests cross-check the
-/// two and the ablation bench quantifies the gap.
+/// it slower than `BatchOmp` but trivially auditable.
+///
+/// This is the reference oracle for the tests and for
+/// `bench/ablation_batch_omp` (which quantifies the gap), not a production
+/// path: every library encode (ExD, evolve, serving) runs `BatchOmp`.
 [[nodiscard]] SparseCode omp_sparse_code(const Matrix& dict,
                                          std::span<const Real> signal,
                                          const OmpConfig& config);

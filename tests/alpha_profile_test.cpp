@@ -72,8 +72,8 @@ TEST(AlphaProfile, AtThrowsForUnknownL) {
   AlphaProfileConfig config;
   config.l_grid = {50};
   const AlphaProfile profile = estimate_alpha_profile(a, config);
-  EXPECT_NO_THROW(profile.at(50));
-  EXPECT_THROW(profile.at(51), std::out_of_range);
+  EXPECT_NO_THROW((void)profile.at(50));
+  EXPECT_THROW((void)profile.at(51), std::out_of_range);
 }
 
 TEST(AlphaProfile, BadConfigThrows) {

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "la/blas.hpp"
 #include "la/random.hpp"
 #include "sparsecoding/omp.hpp"
+#include "util/contracts.hpp"
 
 namespace extdict::sparsecoding {
 namespace {
@@ -112,6 +114,18 @@ TEST(BatchOmp, EncodeAllRowMismatchThrows) {
   Matrix signals(11, 3);
   BatchOmp coder(dict, {.tolerance = 0.1});
   EXPECT_THROW((void)coder.encode_all(signals), std::invalid_argument);
+}
+
+TEST(BatchOmp, EncodeAllNonFiniteSignalThrowsWhenChecked) {
+  if (!util::checks_enabled()) {
+    GTEST_SKIP() << "finiteness contracts compiled out (EXTDICT_CHECKS=OFF)";
+  }
+  Rng rng(7);
+  Matrix dict = rng.gaussian_matrix(10, 5, true);
+  Matrix signals = rng.gaussian_matrix(10, 40);
+  signals(4, 31) = std::numeric_limits<Real>::infinity();
+  BatchOmp coder(dict, {.tolerance = 0.1});
+  EXPECT_THROW((void)coder.encode_all(signals), util::ContractViolation);
 }
 
 TEST(BatchOmp, UnionOfSubspaceSignalsGetKSparseCodes) {

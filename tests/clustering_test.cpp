@@ -31,7 +31,7 @@ TEST(RandIndex, AgreementMetricBasics) {
   // Pairs: a has 2 same-pairs of 6; split has none -> 4/6 agreement.
   EXPECT_NEAR(rand_index(a, split), 4.0 / 6.0, 1e-12);
   const std::vector<Index> wrong_size = {0};
-  EXPECT_THROW(rand_index(a, wrong_size), std::invalid_argument);
+  EXPECT_THROW((void)rand_index(a, wrong_size), std::invalid_argument);
 }
 
 TEST(Clustering, RecoversDisjointSubspaces) {

@@ -10,7 +10,7 @@
 #include "data/subspace.hpp"
 #include "la/blas.hpp"
 #include "la/qr.hpp"
-#include "la/svd.hpp"
+#include "support/svd.hpp"
 
 namespace extdict::data {
 namespace {

@@ -57,7 +57,9 @@ TEST(ColumnPartition, BalancedWithinOneColumn) {
     EXPECT_GE(c, 103 / 8);
     EXPECT_LE(c, 103 / 8 + 1);
     total += c;
-    if (r > 0) EXPECT_EQ(part.begin(r), part.end(r - 1));  // contiguous
+    if (r > 0) {
+      EXPECT_EQ(part.begin(r), part.end(r - 1));  // contiguous
+    }
   }
   EXPECT_EQ(total, 103);
 }

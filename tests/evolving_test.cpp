@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/exd.hpp"
 #include "data/subspace.hpp"
 #include "la/blas.hpp"
+#include "util/contracts.hpp"
 
 namespace extdict::core {
 namespace {
@@ -180,6 +183,19 @@ TEST(Evolve, RowMismatchThrows) {
   ExdResult exd = base_transform(base.a);
   Matrix bad(41, 3);
   EXPECT_THROW(evolve(exd, bad, {}), std::invalid_argument);
+}
+
+TEST(Evolve, NonFiniteColumnThrowsWhenChecked) {
+  if (!util::checks_enabled()) {
+    GTEST_SKIP() << "finiteness contracts compiled out (EXTDICT_CHECKS=OFF)";
+  }
+  const auto base = make_base(97);
+  ExdResult exd = base_transform(base.a);
+  const Index old_cols = exd.coefficients.cols();
+  Matrix a_new = same_structure_columns(base, 40, 98);
+  a_new(3, 17) = std::numeric_limits<Real>::quiet_NaN();
+  EXPECT_THROW(evolve(exd, a_new, {}), util::ContractViolation);
+  EXPECT_EQ(exd.coefficients.cols(), old_cols);  // rejected before any update
 }
 
 }  // namespace

@@ -85,7 +85,7 @@ TEST(Psnr, HigherNoiseLowerPsnr) {
 
 TEST(Psnr, MismatchThrows) {
   std::vector<Real> a(3), b(4);
-  EXPECT_THROW(psnr_db(a, b), std::invalid_argument);
+  EXPECT_THROW((void)psnr_db(a, b), std::invalid_argument);
 }
 
 TEST(Patches, ExtractsColumnsOfExpectedShape) {

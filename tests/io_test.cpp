@@ -88,25 +88,5 @@ TEST(MatrixMarket, RejectsMissingFileAndBadIndices) {
   std::remove(path.c_str());
 }
 
-TEST(Binary, RoundTripIsExact) {
-  Rng rng(4);
-  Matrix a = rng.gaussian_matrix(31, 17);
-  const std::string path = tmp_path("extdict_bin.dat");
-  write_binary(a, path);
-  Matrix b = read_binary(path);
-  EXPECT_EQ(max_abs_diff(a, b), 0.0);  // bitwise
-  std::remove(path.c_str());
-}
-
-TEST(Binary, RejectsBadMagic) {
-  const std::string path = tmp_path("extdict_magic.dat");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "garbage garbage garbage garbage";
-  }
-  EXPECT_THROW(read_binary(path), std::runtime_error);
-  std::remove(path.c_str());
-}
-
 }  // namespace
 }  // namespace extdict::la

@@ -8,8 +8,8 @@
 #include "core/exd.hpp"
 #include "la/blas.hpp"
 #include "la/random.hpp"
-#include "la/svd.hpp"
 #include "solvers/power_method.hpp"
+#include "support/svd.hpp"
 #include "util/contracts.hpp"
 
 namespace extdict::solvers {

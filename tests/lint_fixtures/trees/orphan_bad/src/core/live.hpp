@@ -1,0 +1,6 @@
+// Lint fixture tree (orphan-module, bad): a header with a real caller in
+// examples/. Never compiled — scanned by extdict-lint's self-test.
+// extdict-lint-expect: none
+#pragma once
+
+int live_entry();

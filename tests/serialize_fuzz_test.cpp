@@ -1,29 +1,21 @@
-// Fuzz-ish robustness tests for the serialisation layer: a table of
-// malformed headers and truncated/corrupt payloads fed to read_binary, the
-// Matrix Market readers, and load_transform. Every case must produce a clean
-// std::runtime_error — never an out-of-bounds read (run these under the
+// Fuzz-ish robustness tests for the Matrix Market readers: a table of
+// malformed headers and truncated/corrupt payloads. Every case must produce a
+// clean std::runtime_error — never an out-of-bounds read (run these under the
 // asan-ubsan preset) nor a multi-gigabyte allocation from a corrupt header.
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "core/exd.hpp"
-#include "core/serialize.hpp"
-#include "data/subspace.hpp"
 #include "la/io.hpp"
 
 namespace extdict {
 namespace {
-
-using la::Index;
-using la::Matrix;
-using la::Real;
 
 std::string temp_path(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
@@ -32,52 +24,6 @@ std::string temp_path(const std::string& name) {
 void write_file(const std::string& path, const std::string& contents) {
   std::ofstream out(path, std::ios::binary);
   out << contents;
-}
-
-void write_bytes(const std::string& path, const std::vector<std::uint64_t>& words,
-                 std::size_t extra_payload_bytes = 0) {
-  std::ofstream out(path, std::ios::binary);
-  out.write(reinterpret_cast<const char*>(words.data()),
-            static_cast<std::streamsize>(words.size() * sizeof(std::uint64_t)));
-  const std::string pad(extra_payload_bytes, '\0');
-  out << pad;
-}
-
-constexpr std::uint64_t kMagic = 0x4558544449435401ULL;
-
-struct BinaryCase {
-  const char* name;
-  std::vector<std::uint64_t> header;
-  std::size_t payload_bytes;
-};
-
-TEST(SerializeFuzz, MalformedBinaryHeadersFailCleanly) {
-  const std::vector<BinaryCase> cases = {
-      {"empty_file", {}, 0},
-      {"short_header", {kMagic, 4}, 0},
-      {"bad_magic", {0xdeadbeefULL, 2, 2}, 4 * sizeof(Real)},
-      {"huge_rows", {kMagic, ~0ULL, 2}, 16},
-      {"huge_cols", {kMagic, 2, ~0ULL}, 16},
-      {"overflowing_product", {kMagic, 1ULL << 31, 1ULL << 31}, 16},
-      {"payload_too_short", {kMagic, 4, 4}, 3 * sizeof(Real)},
-      {"payload_too_long", {kMagic, 2, 2}, 5 * sizeof(Real)},
-      {"claims_huge_but_tiny_file", {kMagic, 1000000, 1000000}, 8},
-  };
-  for (const auto& c : cases) {
-    const std::string path = temp_path(std::string("extdict_fuzz_") + c.name);
-    write_bytes(path, c.header, c.payload_bytes);
-    EXPECT_THROW((void)la::read_binary(path), std::runtime_error) << c.name;
-    std::remove(path.c_str());
-  }
-}
-
-TEST(SerializeFuzz, BinaryRoundTripStillWorks) {
-  Matrix a = Matrix::from_rows({{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}});
-  const std::string path = temp_path("extdict_fuzz_ok.bin");
-  la::write_binary(a, path);
-  const Matrix b = la::read_binary(path);
-  EXPECT_EQ(la::max_abs_diff(a, b), 0.0);
-  std::remove(path.c_str());
 }
 
 TEST(SerializeFuzz, MalformedMatrixMarketDenseFailsCleanly) {
@@ -115,84 +61,6 @@ TEST(SerializeFuzz, MalformedMatrixMarketSparseFailsCleanly) {
         << name;
     std::remove(path.c_str());
   }
-}
-
-// ---------------------------------------------------------------------------
-// load_transform: corrupt .meta / mismatched component files.
-// ---------------------------------------------------------------------------
-
-class TransformFuzz : public ::testing::Test {
- protected:
-  void SetUp() override {
-    data::SubspaceModelConfig config;
-    config.ambient_dim = 20;
-    config.num_columns = 60;
-    config.num_subspaces = 3;
-    config.subspace_dim = 3;
-    config.seed = 901;
-    const Matrix a = data::make_union_of_subspaces(config).a;
-    core::ExdConfig exd;
-    exd.dictionary_size = 25;
-    exd.tolerance = 0.05;
-    result_ = core::exd_transform(a, exd);
-    base_ = temp_path("extdict_fuzz_transform");
-    core::save_transform(result_, base_);
-  }
-
-  void TearDown() override {
-    std::remove((base_ + ".dict.bin").c_str());
-    std::remove((base_ + ".coeffs.mtx").c_str());
-    std::remove((base_ + ".meta").c_str());
-  }
-
-  void patch_meta(const std::string& contents) {
-    write_file(base_ + ".meta", contents);
-  }
-
-  core::ExdResult result_;
-  std::string base_;
-};
-
-TEST_F(TransformFuzz, IntactRoundTripLoads) {
-  EXPECT_NO_THROW((void)core::load_transform(base_));
-}
-
-TEST_F(TransformFuzz, CorruptMetaVariantsFailCleanly) {
-  const std::vector<std::pair<const char*, std::string>> cases = {
-      {"bad_header", "not-extdict v9\nerror 0.1\n"},
-      {"unknown_key", "extdict-transform v1\nwat 42\n"},
-      {"truncated_value", "extdict-transform v1\nerror\n"},
-      {"atoms_count_huge", "extdict-transform v1\natoms 99999999999\n1\n2\n"},
-      {"atoms_truncated", "extdict-transform v1\natoms 5\n1\n2\n"},
-      {"negative_atom", "extdict-transform v1\natoms 2\n-4\n2\n"},
-      {"empty", ""},
-  };
-  for (const auto& [name, contents] : cases) {
-    patch_meta(contents);
-    EXPECT_THROW((void)core::load_transform(base_), std::runtime_error)
-        << name;
-  }
-}
-
-TEST_F(TransformFuzz, AtomCountMismatchedToDictionaryFails) {
-  // Claims fewer atoms than the dictionary has columns.
-  patch_meta("extdict-transform v1\nerror 0.1\ntransform_ms 1\natoms 2\n1\n2\n");
-  EXPECT_THROW((void)core::load_transform(base_), std::runtime_error);
-}
-
-TEST_F(TransformFuzz, TruncatedDictionaryFileFails) {
-  // Chop the dictionary payload in half.
-  const std::string dict = base_ + ".dict.bin";
-  const auto size = std::filesystem::file_size(dict);
-  std::filesystem::resize_file(dict, size / 2);
-  EXPECT_THROW((void)core::load_transform(base_), std::runtime_error);
-}
-
-TEST_F(TransformFuzz, CoefficientRowIndexOutOfRangeFails) {
-  // Rewrite the coefficient file claiming an index beyond the row count.
-  write_file(base_ + ".coeffs.mtx",
-             "%%MatrixMarket matrix coordinate real general\n25 60 1\n26 1 1.0\n");
-  EXPECT_THROW((void)core::load_transform(base_), std::runtime_error);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "la/svd.hpp"
+#include "support/svd.hpp"
 
 #include <gtest/gtest.h>
 

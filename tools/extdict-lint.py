@@ -50,10 +50,23 @@ Enforces project rules the generic .clang-tidy configuration cannot express:
                          breaks the subsystem grouping every dashboard and
                          diff relies on.
 
+  orphan-module          every src/ header must be included by something
+                         other than tests/ and its own .cpp (another src/
+                         file, bench/ or examples/). A module only tests
+                         reach is a second implementation or a test oracle
+                         shipped in the library: delete it or move it to
+                         tests/support/. Tree scans only: the rule needs
+                         every includer, so file arguments skip it.
+
 Usage:
   tools/extdict-lint.py [--root DIR]        # scan the tree (default: repo)
   tools/extdict-lint.py FILE [FILE...]      # scan specific files
   tools/extdict-lint.py --self-test         # run on tests/lint_fixtures/
+
+Self-test fixtures are single files under tests/lint_fixtures/, plus whole
+trees under tests/lint_fixtures/trees/<name>/ (a src/ + tests/ + ... layout
+scanned like a repository, for the tree-level rules). Every fixture file
+declares its expected rules with an `extdict-lint-expect:` comment.
 
 Exit status: 0 clean, 1 violations found, 2 usage/internal error.
 Waivers: `// extdict-lint: allow(<rule>) <reason>` on the offending line or
@@ -74,9 +87,10 @@ RULE_CPP_INCLUDE = "cpp-include"
 RULE_TRACE = "trace-in-hot-path"
 RULE_OMP_DEFAULT = "omp-default-none"
 RULE_METRIC_NAME = "metric-name-style"
+RULE_ORPHAN = "orphan-module"
 
 ALL_RULES = (RULE_SYNC, RULE_SHAPE, RULE_HOT_ALLOC, RULE_CPP_INCLUDE,
-             RULE_TRACE, RULE_OMP_DEFAULT, RULE_METRIC_NAME)
+             RULE_TRACE, RULE_OMP_DEFAULT, RULE_METRIC_NAME, RULE_ORPHAN)
 
 # Directories whose files are per-element hot kernels: no tracing there.
 TRACE_FORBIDDEN_PREFIXES = ("src/la/", "src/sparsecoding/")
@@ -535,6 +549,42 @@ def check_file(path: Path, rel: str, violations: list[Violation]) -> None:
             violations.append(Violation(path, sig_line, RULE_SHAPE, msg))
 
 
+def check_orphan_modules(root: Path, files: list[Path],
+                         violations: list[Violation]) -> None:
+    """Flags src/ headers included only by tests/ and their own .cpp.
+
+    `#include "x"` resolves against src/ first (the project's include root),
+    then against the including file's directory.
+    """
+    root = root.resolve()
+    includers: dict[str, set[str]] = {}
+    rels = {path: path.resolve().relative_to(root).as_posix() for path in files}
+    for path, rel in rels.items():
+        text = path.read_text(encoding="utf-8", errors="replace")
+        for line in text.splitlines():
+            inc = INCLUDE_RE.match(line)
+            if not inc:
+                continue
+            for candidate in (root / "src" / inc.group(1),
+                              path.resolve().parent / inc.group(1)):
+                if candidate.is_file():
+                    target = candidate.resolve().relative_to(root).as_posix()
+                    includers.setdefault(target, set()).add(rel)
+                    break
+    for path, rel in rels.items():
+        if not rel.startswith("src/") or path.suffix not in (".hpp", ".h"):
+            continue
+        own_units = {Path(rel).with_suffix(s).as_posix() for s in (".cpp", ".cc")}
+        callers = {u for u in includers.get(rel, set())
+                   if u not in own_units and not u.startswith("tests/")}
+        if callers:
+            continue
+        violations.append(Violation(
+            path, 1, RULE_ORPHAN,
+            f"{rel} is included only by tests/ and its own translation unit; "
+            "delete the module or move it to tests/support/"))
+
+
 def gather_tree_files(root: Path) -> list[Path]:
     files: list[Path] = []
     for sub in ("src", "tests", "bench", "examples"):
@@ -563,52 +613,79 @@ def scan(root: Path, files: list[Path]) -> list[Violation]:
     return violations
 
 
+def scan_tree(root: Path) -> tuple[list[Path], list[Violation]]:
+    """Every per-file rule over the tree, plus the tree-level rules."""
+    files = gather_tree_files(root)
+    violations = scan(root, files)
+    check_orphan_modules(root, files, violations)
+    return files, violations
+
+
+EXPECT_RE = re.compile(r"extdict-lint-expect:\s*([\w\s-]+)")
+HIT_MARK_RE = re.compile(r"//\s*extdict-lint-hit\s*$")
+
+
+def fixture_behaves(path: Path, rel: str, violations: list[Violation]) -> bool:
+    """Checks one fixture's violations against its declared expectations."""
+    text = path.read_text(encoding="utf-8")
+    m = EXPECT_RE.search(text)
+    if not m:
+        print(f"SELF-TEST FAIL {rel}: no extdict-lint-expect header")
+        return False
+    expected = set(m.group(1).split()) - {"none"}
+    found = {v.rule for v in violations}
+    # Opt-in line check: when a fixture ends lines with
+    # `// extdict-lint-hit`, exactly those lines must be flagged.
+    marked = {n for n, line in enumerate(text.splitlines(), start=1)
+              if HIT_MARK_RE.search(line)}
+    flagged = {v.line for v in violations}
+    if marked and marked != flagged:
+        print(f"SELF-TEST FAIL {rel}: marked lines {sorted(marked)}, "
+              f"flagged lines {sorted(flagged)}")
+        return False
+    if found != expected:
+        print(f"SELF-TEST FAIL {rel}: expected {sorted(expected) or '[]'}, "
+              f"found {sorted(found) or '[]'}")
+        for v in violations:
+            print(f"    {v}")
+        return False
+    print(f"self-test ok: {rel} -> {sorted(found) or ['clean']}")
+    return True
+
+
 def self_test(repo_root: Path) -> int:
     """Checks every fixture produces exactly its declared rule hits."""
     fixture_root = repo_root / "tests" / "lint_fixtures"
     if not fixture_root.is_dir():
         print(f"extdict-lint: no fixtures at {fixture_root}", file=sys.stderr)
         return 2
-    expect_re = re.compile(r"extdict-lint-expect:\s*([\w\s-]+)")
-    hit_mark_re = re.compile(r"//\s*extdict-lint-hit\s*$")
-    failures = 0
-    fixtures = sorted(fixture_root.rglob("*.cpp"))
-    if not fixtures:
-        print("extdict-lint: fixture directory is empty", file=sys.stderr)
+    tree_root = fixture_root / "trees"
+    fixtures = [p for p in sorted(fixture_root.rglob("*.cpp"))
+                if tree_root not in p.parents]
+    trees = sorted(p for p in tree_root.iterdir() if p.is_dir()) \
+        if tree_root.is_dir() else []
+    if not fixtures or not trees:
+        print("extdict-lint: file or tree fixtures missing", file=sys.stderr)
         return 2
+    failures = checked = 0
     for path in fixtures:
-        text = path.read_text(encoding="utf-8")
-        m = expect_re.search(text)
-        if not m:
-            print(f"SELF-TEST FAIL {path}: no extdict-lint-expect header")
-            failures += 1
-            continue
-        expected = set(m.group(1).split()) - {"none"}
         rel = path.relative_to(fixture_root).as_posix()
         violations: list[Violation] = []
         check_file(path, rel, violations)
-        found = {v.rule for v in violations}
-        # Opt-in line check: when a fixture ends lines with
-        # `// extdict-lint-hit`, exactly those lines must be flagged.
-        marked = {n for n, line in enumerate(text.splitlines(), start=1)
-                  if hit_mark_re.search(line)}
-        flagged = {v.line for v in violations}
-        if marked and marked != flagged:
-            print(f"SELF-TEST FAIL {rel}: marked lines {sorted(marked)}, "
-                  f"flagged lines {sorted(flagged)}")
-            failures += 1
-        elif found != expected:
-            print(f"SELF-TEST FAIL {rel}: expected {sorted(expected) or '[]'}, "
-                  f"found {sorted(found) or '[]'}")
-            for v in violations:
-                print(f"    {v}")
-            failures += 1
-        else:
-            print(f"self-test ok: {rel} -> {sorted(found) or ['clean']}")
+        checked += 1
+        failures += not fixture_behaves(path, rel, violations)
+    for tree in trees:
+        files, violations = scan_tree(tree)
+        for path in files:
+            rel = path.relative_to(fixture_root).as_posix()
+            checked += 1
+            failures += not fixture_behaves(
+                path, rel, [v for v in violations if v.path == path])
     if failures:
         print(f"extdict-lint self-test: {failures} fixture(s) failed")
         return 1
-    print(f"extdict-lint self-test: all {len(fixtures)} fixtures behave")
+    print(f"extdict-lint self-test: all {checked} fixtures behave "
+          f"({len(trees)} trees)")
     return 0
 
 
@@ -630,11 +707,13 @@ def main(argv: list[str]) -> int:
     if args.self_test:
         return self_test(script_root)
 
-    files = [p for p in args.files] or gather_tree_files(root)
+    if args.files:
+        files, violations = args.files, scan(root, args.files)
+    else:
+        files, violations = scan_tree(root)
     if not files:
         print(f"extdict-lint: nothing to scan under {root}", file=sys.stderr)
         return 2
-    violations = scan(root, files)
     for v in violations:
         print(v)
     if violations:
