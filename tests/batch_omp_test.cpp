@@ -7,6 +7,7 @@
 
 #include "la/blas.hpp"
 #include "la/random.hpp"
+#include "serve/dict_registry.hpp"
 #include "sparsecoding/omp.hpp"
 #include "util/contracts.hpp"
 
@@ -23,6 +24,111 @@ Real residual_of(const Matrix& dict, const SparseCode& code,
     la::axpy(-coeff, dict.col(atom), rec);
   }
   return la::nrm2(rec);
+}
+
+// True residual of column j of an `encode_all` result.
+Real csc_residual_of(const Matrix& dict, const la::CscMatrix& codes, Index j,
+                     std::span<const Real> signal) {
+  Vector rec(signal.begin(), signal.end());
+  const auto rows = codes.col_rows(j);
+  const auto values = codes.col_values(j);
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    la::axpy(-values[k], dict.col(rows[k]), rec);
+  }
+  return la::nrm2(rec);
+}
+
+// `groups` random unit directions, each repeated `copies` times with a
+// relative perturbation of `spread`: atoms within a group are nearly
+// collinear, so G(S,S) is ill-conditioned and ||x||² − α₀(S)ᵀγ cancels.
+Matrix near_collinear_dictionary(Index m, Index groups, Index copies,
+                                 Real spread, unsigned seed) {
+  Rng rng(seed);
+  const Matrix base = rng.gaussian_matrix(m, groups, true);
+  Matrix dict(m, groups * copies);
+  Vector noise(static_cast<std::size_t>(m));
+  for (Index g = 0; g < groups; ++g) {
+    for (Index c = 0; c < copies; ++c) {
+      rng.fill_gaussian(noise);
+      auto col = dict.col(g * copies + c);
+      std::copy(base.col(g).begin(), base.col(g).end(), col.begin());
+      la::axpy(spread, noise, col);
+    }
+  }
+  dict.normalize_columns();
+  return dict;
+}
+
+// The reported residual_norm of every encode, and the true residual of
+// every encode_all column, must be the true ||x − Dγ|| in the energy domain
+// the coder decides in: |reported² − true²| <= slack·||x||². (The norm
+// itself is sqrt(||x||² − α₀(S)ᵀγ), so once the residual is below
+// ~sqrt(slack)·||x|| it carries the cancellation's error, not a bug.)
+void expect_reported_residuals_are_true(const Matrix& dict,
+                                        const BatchOmp& coder,
+                                        const Matrix& signals, Real slack) {
+  const la::CscMatrix all = coder.encode_all(signals);
+  for (Index j = 0; j < signals.cols(); ++j) {
+    const auto x = signals.col(j);
+    const Real energy = la::nrm2(x) * la::nrm2(x);
+    const SparseCode code = coder.encode(x);
+    const Real reported = code.residual_norm * code.residual_norm;
+    const Real true_encode = residual_of(dict, code, x);
+    const Real true_all = csc_residual_of(dict, all, j, x);
+    EXPECT_NEAR(reported, true_encode * true_encode, slack * energy)
+        << "encode, column " << j << ", " << code.entries.size() << " atoms";
+    EXPECT_NEAR(reported, true_all * true_all, slack * energy)
+        << "encode_all, column " << j << ", " << all.col_nnz(j) << " atoms";
+  }
+}
+
+TEST(BatchOmp, ReportedResidualIsTrueOnNearCollinearDictionary) {
+  const Matrix dict = near_collinear_dictionary(40, 8, 6, 1e-4, 31);
+  Rng rng(32);
+  // Signals on the group directions plus noise the dictionary cannot fit,
+  // at a loose and a tight tolerance (the tight one drives the pursuit
+  // into the near-dependent atoms of a group).
+  Matrix signals = rng.gaussian_matrix(40, 37);
+  for (Index j = 0; j < signals.cols(); ++j) {
+    auto x = signals.col(j);
+    la::scal(1e-2, x);
+    la::axpy(1.0, dict.col((j * 7) % dict.cols()), x);
+    la::axpy(-0.5, dict.col((j * 11 + 3) % dict.cols()), x);
+  }
+  for (const Real eps : {Real{0.1}, Real{1e-3}}) {
+    const BatchOmp coder(dict, {.tolerance = eps});
+    expect_reported_residuals_are_true(dict, coder, signals, 1e-9);
+  }
+}
+
+TEST(BatchOmp, ReportedResidualIsTrueOnExtendedDictionary) {
+  // Grow a dictionary the way serving does: candidates the base cannot
+  // express well, some of them near-copies of base atoms, appended through
+  // the bordered Gram.
+  const OmpConfig omp{.tolerance = 1e-2};
+  Rng rng(33);
+  const Matrix base = rng.gaussian_matrix(30, 40, true);
+  Matrix candidates = rng.gaussian_matrix(30, 24, true);
+  for (Index j = 0; j < 12; ++j) {
+    auto c = candidates.col(j);
+    la::scal(1e-5, c);
+    la::axpy(1.0, base.col(j), c);
+  }
+  serve::DictRegistry registry(base, omp);
+  core::ExdConfig grow;
+  grow.dictionary_size = 16;
+  grow.seed = 34;
+  registry.extend_from_samples(candidates, grow);
+  registry.extend(rng.gaussian_matrix(30, 5, true));
+  const auto epoch = registry.current();
+  ASSERT_EQ(epoch->dictionary.cols(), 61);
+
+  Matrix signals = rng.gaussian_matrix(30, 29);
+  for (Index j = 0; j < signals.cols(); ++j) {
+    la::axpy(2.0, candidates.col(j % candidates.cols()), signals.col(j));
+  }
+  expect_reported_residuals_are_true(epoch->dictionary, epoch->coder, signals,
+                                     1e-9);
 }
 
 TEST(BatchOmp, GramIsPrecomputedOnce) {
