@@ -25,11 +25,6 @@ Matrix select_extension_atoms(const Matrix& hard, const ExdConfig& config) {
 EvolveReport evolve(ExdResult& exd, const Matrix& a_new, const ExdConfig& config) {
   EXTDICT_REQUIRE_SHAPE(a_new.rows() == exd.dictionary.rows(),
                         "evolve: row mismatch with existing dictionary");
-  // Checked here, before the parallel coding loop: a contract thrown from
-  // inside an OpenMP region cannot propagate and would terminate instead.
-  EXTDICT_CHECK_FINITE(
-      std::span<const Real>(a_new.data(), static_cast<std::size_t>(a_new.size())),
-      "evolve: new columns");
   EvolveReport report;
   report.new_columns = a_new.cols();
   if (a_new.cols() == 0) return report;
@@ -39,15 +34,11 @@ EvolveReport evolve(ExdResult& exd, const Matrix& a_new, const ExdConfig& config
   omp.max_atoms = config.max_atoms;
 
   // Pass 1: code the new columns against the current dictionary and find
-  // the ones whose residual misses the ε criterion.
+  // the ones whose residual misses the ε criterion. encode_columns checks
+  // the columns are finite before anything here changes.
   const sparsecoding::BatchOmp coder(exd.dictionary, omp);
   const Index n_new = a_new.cols();
-  std::vector<sparsecoding::SparseCode> codes(static_cast<std::size_t>(n_new));
-#pragma omp parallel for schedule(dynamic, 16) default(none) \
-    shared(a_new, codes, coder, n_new) if (n_new > 1)
-  for (Index j = 0; j < n_new; ++j) {
-    codes[static_cast<std::size_t>(j)] = coder.encode(a_new.col(j));
-  }
+  std::vector<sparsecoding::SparseCode> codes = coder.encode_columns(a_new);
 
   std::vector<Index> failed;
   for (Index j = 0; j < n_new; ++j) {
@@ -83,16 +74,11 @@ EvolveReport evolve(ExdResult& exd, const Matrix& a_new, const ExdConfig& config
     // pass-1 codes were below tolerance).
     const sparsecoding::BatchOmp recoder(exd.dictionary,
                                          std::move(extended_gram), omp);
+    std::vector<sparsecoding::SparseCode> recoded = recoder.encode_columns(hard);
     const Index n_failed = report.failed_columns;
-#pragma omp parallel for schedule(dynamic, 16) default(none) \
-    shared(a_new, codes, failed, recoder, n_failed) if (n_failed > 1)
     for (Index k = 0; k < n_failed; ++k) {
-      const Index j = failed[static_cast<std::size_t>(k)];
-      // codes[j] is iteration-unique because `failed` holds distinct column
-      // indices (built by a strictly increasing scan of [0, n_new)), but the
-      // analyzer cannot prove uniqueness through the indirection.
-      // extdict-lint: allow(omp-sharing) failed[] holds distinct indices, so codes[j] is iteration-unique
-      codes[static_cast<std::size_t>(j)] = recoder.encode(a_new.col(j));
+      codes[static_cast<std::size_t>(failed[static_cast<std::size_t>(k)])] =
+          std::move(recoded[static_cast<std::size_t>(k)]);
     }
     report.reencoded_columns = n_failed;
   }

@@ -1,6 +1,7 @@
 #include "core/exd.hpp"
 
 #include <cmath>
+#include <vector>
 
 #include "la/blas.hpp"
 #include "la/random.hpp"
@@ -58,9 +59,13 @@ Real transformation_error(const Matrix& a, const Matrix& d, const CscMatrix& c) 
       c.rows() == d.cols() && c.cols() == a.cols() && d.rows() == a.rows(),
       "transformation_error: shape mismatch");
   const Index n = a.cols();
-  Real num = 0, den = 0;
-#pragma omp parallel for schedule(static) default(none) shared(a, d, c, n) \
-    reduction(+ : num, den) if (n > 64)
+  // Per-column energies, summed in column order afterwards: an OpenMP
+  // reduction combines thread partials in arrival order, which made the
+  // result differ in the last bits from run to run.
+  std::vector<Real> num_j(static_cast<std::size_t>(n));
+  std::vector<Real> den_j(static_cast<std::size_t>(n));
+#pragma omp parallel for schedule(static) default(none) \
+    shared(a, d, c, n, num_j, den_j) if (n > 64)
   for (Index j = 0; j < n; ++j) {
     la::Vector r(a.col(j).begin(), a.col(j).end());
     const auto rows = c.col_rows(j);
@@ -68,8 +73,13 @@ Real transformation_error(const Matrix& a, const Matrix& d, const CscMatrix& c) 
     for (std::size_t k = 0; k < rows.size(); ++k) {
       la::axpy(-vals[k], d.col(rows[k]), r);
     }
-    num += la::dot(r, r);
-    den += la::dot(a.col(j), a.col(j));
+    num_j[static_cast<std::size_t>(j)] = la::dot(r, r);
+    den_j[static_cast<std::size_t>(j)] = la::dot(a.col(j), a.col(j));
+  }
+  Real num = 0, den = 0;
+  for (Index j = 0; j < n; ++j) {
+    num += num_j[static_cast<std::size_t>(j)];
+    den += den_j[static_cast<std::size_t>(j)];
   }
   EXTDICT_ASSERT(std::isfinite(num) && std::isfinite(den),
                  "transformation_error: non-finite residual energy");

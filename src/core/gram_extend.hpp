@@ -20,8 +20,10 @@ using la::Real;
 /// what makes online dictionary extension (serve::DictRegistry, the
 /// core::evolve pass-2 re-code) cheap enough to run under load.
 ///
-/// Every border entry is computed with the same `la::dot` accumulation
-/// order `la::gram` uses, so the result is BITWISE identical to
+/// The border blocks are `la::gemm(kYes)` (Dᵀ·A_new) and `la::gram(A_new)`,
+/// which share `la::gram`'s inner-product kernel and its reduction order
+/// (every entry a fixed function of its two columns), so the result is
+/// BITWISE identical to
 /// `la::gram(extended_dict)` — extension changes where the Gram comes from,
 /// never what Batch-OMP sees (dict_registry_test pins this).
 ///

@@ -60,8 +60,7 @@ Vector Cholesky::solve(std::span<const Real> b) const {
 }
 
 ProgressiveCholesky::ProgressiveCholesky(Index capacity)
-    : capacity_(capacity),
-      l_(static_cast<std::size_t>(capacity * (capacity + 1) / 2), Real{0}) {
+    : capacity_(capacity) {
   EXTDICT_REQUIRE_SHAPE(capacity > 0,
                         "ProgressiveCholesky: capacity must be > 0, got " +
                             std::to_string(capacity));
@@ -80,6 +79,8 @@ bool ProgressiveCholesky::append(std::span<const Real> g_new, Real g_diag) {
   }
   // Solve L w = g_new; the new row of L is [w^T, sqrt(g_diag - ||w||^2)].
   const Index i = n_;
+  const auto rows_end = static_cast<std::size_t>((i + 1) * (i + 2) / 2);
+  if (l_.size() < rows_end) l_.resize(rows_end);
   Real ssq = 0;
   for (Index j = 0; j < i; ++j) {
     Real s = g_new[static_cast<std::size_t>(j)];

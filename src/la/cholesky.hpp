@@ -37,8 +37,10 @@ class Cholesky {
 /// products of the new atom against the already-selected ones plus itself).
 class ProgressiveCholesky {
  public:
-  /// `capacity` is the maximum number of atoms ever selected (pre-allocates
-  /// the triangular factor once; no reallocation in the OMP hot loop).
+  /// `capacity` is the maximum number of atoms ever selected. The packed
+  /// factor grows with its rows and keeps its storage across `reset()`, so
+  /// a factor reused for many signals stops allocating once warm (a
+  /// capacity-sized factor up front was min(M, L)²/2 words per encode).
   explicit ProgressiveCholesky(Index capacity);
 
   /// Current size of the factor.

@@ -156,8 +156,10 @@ struct ServerStats {
 /// into a per-request waterfall), `serve.*` counters, live gauges
 /// (`serve.queue.depth`, `serve.inflight`, `serve.workers.busy` — tracked at
 /// the push/pop/resolve transitions, never sampled under race), windowed +
-/// cumulative `serve.latency.{queue,encode,total}_seconds` histograms in the
-/// global registry — `stats()` is the server's own (always-on) accounting.
+/// cumulative `serve.latency.{queue,encode,total}_seconds` histograms
+/// (`encode` is each column's own encode time) plus
+/// `serve.latency.batch_encode_seconds` (one batch's encode window, once
+/// per batch) in the global registry — `stats()` is the server's own (always-on) accounting.
 /// The gauges reconcile with the monotone identities at quiescence:
 ///   queue.depth == accepted − served − encode_failed − shed − discarded
 ///                  − inflight
@@ -280,6 +282,7 @@ class ExtDictServer {
   util::Gauge& busy_workers_gauge_;
   util::MetricsRegistry::Distribution& queue_latency_;
   util::MetricsRegistry::Distribution& encode_latency_;
+  util::MetricsRegistry::Distribution& batch_encode_latency_;
   util::MetricsRegistry::Distribution& total_latency_;
 
   // NOT a leaf lock (documented exception to the util/sync.hpp policy):

@@ -26,6 +26,35 @@ BatchOmp::BatchOmp(const Matrix& dict, Matrix gram, OmpConfig config)
           std::to_string(dict.cols()) + " columns");
 }
 
+namespace {
+
+// Columns per block in `encode_columns`: one gemm(kYes) computes the
+// block's α₀ into an L×kBlockColumns scratch, never the whole L×N.
+constexpr Index kBlockColumns = 24;
+
+Index atom_budget(const OmpConfig& config, Index m, Index l) {
+  const Index cap = std::min(m, l);
+  return config.max_atoms > 0 ? std::min(config.max_atoms, cap) : cap;
+}
+
+}  // namespace
+
+// Per-thread scratch of the Gram-domain iterations, reused across the
+// columns one thread codes.
+struct BatchOmp::Workspace {
+  explicit Workspace(Index atoms)
+      : chol(std::max<Index>(atoms, 1)),
+        used(static_cast<std::size_t>(atoms)),
+        alpha(static_cast<std::size_t>(atoms)) {}
+
+  la::ProgressiveCholesky chol;
+  std::vector<char> used;      // atom already selected or rejected
+  la::Vector alpha;            // Dᵀr, kept through the Gram
+  std::vector<Index> selected;
+  la::Vector gamma;            // coefficients on the selection
+  la::Vector g_new;            // G(selected, k)
+};
+
 // extdict-lint: allow(missing-shape-contract) delegates to the checked overload
 SparseCode BatchOmp::encode(std::span<const Real> signal) const {
   return encode(signal, config_);
@@ -35,10 +64,6 @@ SparseCode BatchOmp::encode(std::span<const Real> signal,
                             const OmpConfig& config) const {
   const Index m = dict_->rows();
   const Index l = dict_->cols();
-  const Index max_atoms =
-      config.max_atoms > 0
-          ? std::min(config.max_atoms, std::min(m, l))
-          : std::min(m, l);
   EXTDICT_REQUIRE_SHAPE(static_cast<Index>(signal.size()) == m,
                         "BatchOmp::encode: |signal|=" +
                             std::to_string(signal.size()) +
@@ -46,6 +71,22 @@ SparseCode BatchOmp::encode(std::span<const Real> signal,
                             " rows");
 
   EXTDICT_CHECK_FINITE(signal, "BatchOmp::encode: signal");
+
+  // The block-of-one case of encode_columns: gemv_t's entries are bitwise
+  // the gemm(kYes) entries a block computes.
+  Workspace ws(l);
+  const Real energy = la::dot(signal, signal);
+  la::Vector alpha0(static_cast<std::size_t>(l));
+  if (energy != Real{0}) la::gemv_t(1, *dict_, signal, 0, alpha0);
+  return pursue(energy, alpha0, config, ws);
+}
+
+// extdict-lint: allow(missing-shape-contract) private; encode and encode_columns check the signal and size alpha0 from the dictionary
+SparseCode BatchOmp::pursue(Real energy, std::span<const Real> alpha0,
+                            const OmpConfig& config, Workspace& ws) const {
+  const Index m = dict_->rows();
+  const Index l = dict_->cols();
+  const Index max_atoms = atom_budget(config, m, l);
 
   SparseCode code;
   // Exact FLOP meter (2 FLOPs per multiply-add, matching la/blas.hpp's
@@ -55,7 +96,7 @@ SparseCode BatchOmp::encode(std::span<const Real> signal,
   const auto um = static_cast<std::uint64_t>(m);
   const auto ul = static_cast<std::uint64_t>(l);
   std::uint64_t flops = 2 * um;  // eps0 = <x, x>
-  const Real eps0 = la::dot(signal, signal);
+  const Real eps0 = energy;
   if (eps0 == Real{0} || max_atoms == 0) {
     code.flops = flops;
     return code;
@@ -63,18 +104,17 @@ SparseCode BatchOmp::encode(std::span<const Real> signal,
   // Stop when ||r||² <= (ε ||x||)².
   const Real target_sq = config.tolerance * config.tolerance * eps0;
 
-  // alpha0 = Dᵀ x (computed once); alpha = Dᵀ r maintained via the Gram.
-  la::Vector alpha0(static_cast<std::size_t>(l));
-  la::gemv_t(1, *dict_, signal, 0, alpha0);
+  // alpha0 = Dᵀ x (computed by the caller); alpha = Dᵀ r maintained via
+  // the Gram.
   flops += 2 * um * ul;
-  la::Vector alpha = alpha0;
-
-  la::ProgressiveCholesky chol(max_atoms);
-  std::vector<Index> selected;
-  std::vector<bool> used(static_cast<std::size_t>(l), false);
-  la::Vector gamma;                 // coefficients on the selection
-  la::Vector g_new;                 // G(selected, k) scratch
-  la::Vector beta(static_cast<std::size_t>(l));
+  la::Vector& alpha = ws.alpha;
+  std::copy(alpha0.begin(), alpha0.end(), alpha.begin());
+  std::fill(ws.used.begin(), ws.used.end(), char{0});
+  ws.chol.reset();
+  std::vector<Index>& selected = ws.selected;
+  selected.clear();
+  la::Vector& gamma = ws.gamma;
+  la::Vector& g_new = ws.g_new;
   Real eps = eps0;
   std::uint64_t n_used = 0;  // `used` flags set, for the scan charge
 
@@ -83,7 +123,7 @@ SparseCode BatchOmp::encode(std::span<const Real> signal,
     Real best_abs = 0;
     flops += ul - n_used;  // argmax scan touches each unused candidate once
     for (Index j = 0; j < l; ++j) {
-      if (used[static_cast<std::size_t>(j)]) continue;
+      if (ws.used[static_cast<std::size_t>(j)]) continue;
       const Real a = std::abs(alpha[static_cast<std::size_t>(j)]);
       if (a > best_abs) {
         best_abs = a;
@@ -105,15 +145,13 @@ SparseCode BatchOmp::encode(std::span<const Real> signal,
     // pivot check accepts the atom — the solve ran either way.
     const auto uk = static_cast<std::uint64_t>(k);
     flops += uk * uk + 2 * uk + 2;
-    if (!chol.append(g_new, gram_(best, best))) {
+    ws.used[static_cast<std::size_t>(best)] = 1;
+    ++n_used;
+    if (!ws.chol.append(g_new, gram_(best, best))) {
       // Linearly dependent atom — exclude it and keep searching.
-      used[static_cast<std::size_t>(best)] = true;
       alpha[static_cast<std::size_t>(best)] = 0;
-      ++n_used;
       continue;
     }
-    used[static_cast<std::size_t>(best)] = true;
-    ++n_used;
     selected.push_back(best);
     ++code.iterations;
 
@@ -124,7 +162,7 @@ SparseCode BatchOmp::encode(std::span<const Real> signal,
       gamma[static_cast<std::size_t>(a)] =
           alpha0[static_cast<std::size_t>(selected[static_cast<std::size_t>(a)])];
     }
-    chol.solve_in_place(gamma);
+    ws.chol.solve_in_place(gamma);
     // Forward + back substitution at size s: s² multiply-adds each → 2s².
     flops += 2 * static_cast<std::uint64_t>(ks) * static_cast<std::uint64_t>(ks);
     EXTDICT_ASSERT(util::first_non_finite(gamma) < 0,
@@ -133,15 +171,14 @@ SparseCode BatchOmp::encode(std::span<const Real> signal,
 
     // alpha = alpha0 - G(:,S) gamma; residual energy via the normal
     // equations: ||r||² = ||x||² - alpha0(S)ᵀ gamma.
-    std::copy(alpha0.begin(), alpha0.end(), beta.begin());
+    std::copy(alpha0.begin(), alpha0.end(), alpha.begin());
     for (Index a = 0; a < ks; ++a) {
       const Index atom = selected[static_cast<std::size_t>(a)];
       const Real ga = gamma[static_cast<std::size_t>(a)];
       if (ga == Real{0}) continue;
-      la::axpy(-ga, gram_.col(atom), beta);
+      la::axpy(-ga, gram_.col(atom), alpha);
       flops += 2 * ul;
     }
-    alpha = beta;
     for (const Index s : selected) alpha[static_cast<std::size_t>(s)] = 0;
 
     Real fit = 0;
@@ -162,31 +199,57 @@ SparseCode BatchOmp::encode(std::span<const Real> signal,
   return code;
 }
 
-la::CscMatrix BatchOmp::encode_all(const Matrix& signals) const {
-  EXTDICT_REQUIRE_SHAPE(signals.rows() == dict_->rows(),
-                        "BatchOmp::encode_all: signals have " +
+std::vector<SparseCode> BatchOmp::encode_columns(const Matrix& signals) const {
+  const Index m = dict_->rows();
+  const Index l = dict_->cols();
+  EXTDICT_REQUIRE_SHAPE(signals.rows() == m,
+                        "BatchOmp::encode_columns: signals have " +
                             std::to_string(signals.rows()) +
-                            " rows but dictionary has " +
-                            std::to_string(dict_->rows()));
+                            " rows but dictionary has " + std::to_string(m));
   // Checked before the parallel loop: encode()'s own check would throw
   // inside the OpenMP region, where an exception terminates the process.
   EXTDICT_CHECK_FINITE(std::span<const Real>(signals.data(),
                                              static_cast<std::size_t>(signals.size())),
-                       "BatchOmp::encode_all: signals");
+                       "BatchOmp::encode_columns: signals");
   const Index n = signals.cols();
+  const Index blocks = (n + kBlockColumns - 1) / kBlockColumns;
+  std::vector<SparseCode> codes(static_cast<std::size_t>(n));
+#pragma omp parallel default(none) shared(signals, codes, m, l, n, blocks, \
+                                          kBlockColumns) if (blocks > 1)
+  {
+    Workspace ws(l);
+#pragma omp for schedule(dynamic, 1)
+    for (Index b = 0; b < blocks; ++b) {
+      const Index j0 = b * kBlockColumns;
+      const Index width = std::min(kBlockColumns, n - j0);
+      Matrix block(m, width);
+      std::copy_n(signals.col(j0).data(), static_cast<std::size_t>(m * width),
+                  block.data());
+      Matrix alpha0(l, width);
+      la::gemm(1, *dict_, la::Trans::kYes, block, la::Trans::kNo, 0, alpha0);
+      for (Index j = 0; j < width; ++j) {
+        // extdict-lint: allow(omp-sharing) each block owns columns [j0, j0 + width)
+        codes[static_cast<std::size_t>(j0 + j)] =
+            pursue(la::dot(block.col(j), block.col(j)), alpha0.col(j), config_, ws);
+      }
+    }
+  }
+  return codes;
+}
+
+// extdict-lint: allow(missing-shape-contract) delegates to the checked encode_columns
+la::CscMatrix BatchOmp::encode_all(const Matrix& signals) const {
   // extdict-lint: allow(trace-in-hot-path) one phase per encode_all call, not per column
   const util::TraceScope phase(
       util::MetricsRegistry::global().span("batch_omp.encode_all"),
       "batch_omp.encode_all");
-  std::vector<std::vector<std::pair<Index, Real>>> columns(
-      static_cast<std::size_t>(n));
-#pragma omp parallel for schedule(dynamic, 16) default(none) \
-    shared(signals, columns, n) if (n > 1)
-  for (Index j = 0; j < n; ++j) {
-    columns[static_cast<std::size_t>(j)] = encode(signals.col(j)).entries;
+  std::vector<SparseCode> codes = encode_columns(signals);
+  std::vector<std::vector<std::pair<Index, Real>>> columns(codes.size());
+  for (std::size_t j = 0; j < codes.size(); ++j) {
+    columns[j] = std::move(codes[j].entries);
   }
   util::MetricsRegistry::global().add("batch_omp.signals_encoded",
-                                      static_cast<std::uint64_t>(n));
+                                      static_cast<std::uint64_t>(codes.size()));
   return la::CscMatrix::from_columns(dict_->cols(), columns);
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "la/csc_matrix.hpp"
 #include "la/matrix.hpp"
@@ -15,9 +16,12 @@ namespace extdict::sparsecoding {
 /// This is the coder ExD uses in production (§V-D): the Gram matrix
 /// G = DᵀD is computed once per dictionary; encoding a signal then costs
 /// O(M·L) for the initial correlations plus O(L·k + k²) per greedy
-/// iteration, never touching the residual explicitly. `encode_all`
-/// parallelises over signals with OpenMP — each column of C is independent
-/// (Alg. 1 step 3 runs per processor in the paper).
+/// iteration, never touching the residual explicitly. `encode_columns`
+/// parallelises over blocks of signals with OpenMP — each column of C is
+/// independent (Alg. 1 step 3 runs per processor in the paper) — and
+/// computes a block's initial correlations with one `la::gemm`, whose
+/// entries are bitwise the `la::gemv_t` entries `encode` uses, so a column
+/// codes the same alone or in a block.
 class BatchOmp {
  public:
   BatchOmp(const Matrix& dict, OmpConfig config);
@@ -40,8 +44,15 @@ class BatchOmp {
   [[nodiscard]] SparseCode encode(std::span<const Real> signal,
                                   const OmpConfig& config) const;
 
-  /// Sparse-codes every column of `signals`, returning the L x N coefficient
-  /// matrix in CSC form.
+  /// Sparse-codes every column of `signals` with the config given at
+  /// construction: one code per column, residuals included, each exactly
+  /// what `encode` returns for that column. The block-encode entry: each
+  /// OpenMP thread codes blocks of columns on one reused workspace.
+  [[nodiscard]] std::vector<SparseCode> encode_columns(
+      const Matrix& signals) const;
+
+  /// `encode_columns` assembled into the L x N coefficient matrix in CSC
+  /// form (Alg. 1 step 3).
   [[nodiscard]] la::CscMatrix encode_all(const Matrix& signals) const;
 
   [[nodiscard]] Index atom_count() const noexcept { return dict_->cols(); }
@@ -60,6 +71,14 @@ class BatchOmp {
   [[nodiscard]] std::uint64_t encode_flops(Index k) const noexcept;
 
  private:
+  struct Workspace;
+
+  /// The Gram-domain iterations of one signal, given its energy <x, x> and
+  /// its initial correlations α₀ = Dᵀx.
+  [[nodiscard]] SparseCode pursue(Real energy, std::span<const Real> alpha0,
+                                  const OmpConfig& config,
+                                  Workspace& ws) const;
+
   const Matrix* dict_;  // non-owning; caller keeps the dictionary alive
   Matrix gram_;
   OmpConfig config_;
