@@ -268,7 +268,6 @@ void ExtDictServer::encode_batch(std::vector<Request>& batch) {
     column_seconds[i] = seconds_between(started, Clock::now());
   }
   const double encode_s = seconds_between(flush_at, Clock::now());
-  batch_encode_latency_.observe(encode_s);
 
   batches_.add(1);
   columns_encoded_.add(static_cast<std::uint64_t>(columns));
@@ -282,6 +281,7 @@ void ExtDictServer::encode_batch(std::vector<Request>& batch) {
   for (std::size_t i = 0; i < batch.size(); ++i) {
     queue_latency_.observe(queue_seconds[i]);
     encode_latency_.observe(column_seconds[i]);
+    batch_encode_latency_.observe(encode_s);
     total_latency_.observe(queue_seconds[i] + encode_s);
     util::TraceRecorder::global().instant("serve.request.resolve", "req",
                                           batch[i].id);

@@ -158,8 +158,9 @@ struct ServerStats {
 /// the push/pop/resolve transitions, never sampled under race), windowed +
 /// cumulative `serve.latency.{queue,encode,total}_seconds` histograms
 /// (`encode` is each column's own encode time) plus
-/// `serve.latency.batch_encode_seconds` (one batch's encode window, once
-/// per batch) in the global registry — `stats()` is the server's own (always-on) accounting.
+/// `serve.latency.batch_encode_seconds` (the batch's encode window each
+/// column waited through, = `EncodeResult::encode_seconds`) in the global
+/// registry — `stats()` is the server's own (always-on) accounting.
 /// The gauges reconcile with the monotone identities at quiescence:
 ///   queue.depth == accepted − served − encode_failed − shed − discarded
 ///                  − inflight

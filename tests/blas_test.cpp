@@ -170,6 +170,76 @@ TEST(Gram, MatchesAtA) {
   }
 }
 
+// Shapes with every kind of tail: K = 37 is not a multiple of the kernel's
+// 8 lanes, 23 columns of A are not a multiple of its 4-column tile rows,
+// and 29 columns of B are not a multiple of its 3-column tiles nor of
+// BatchOmp's 24-column blocks.
+constexpr Index kTailK = 37, kTailM = 23, kTailN = 29;
+
+TEST(InnerProductKernel, DotGemvTGemmAndGramEntriesAreBitwiseEqual) {
+  Rng rng(13);
+  const Matrix a = rng.gaussian_matrix(kTailK, kTailM);
+  const Matrix b = rng.gaussian_matrix(kTailK, kTailN);
+  const Matrix c = matmul(a, b, Trans::kYes, Trans::kNo);
+  Matrix both = a;
+  both.append_columns(b);
+  const Matrix g = gram(both);
+  for (Index j = 0; j < kTailN; ++j) {
+    Vector y(static_cast<std::size_t>(kTailM));
+    gemv_t(1, a, b.col(j), 0, y);
+    for (Index i = 0; i < kTailM; ++i) {
+      const Real d = dot(a.col(i), b.col(j));
+      EXPECT_EQ(y[static_cast<std::size_t>(i)], d) << "gemv_t (" << i << "," << j << ")";
+      EXPECT_EQ(c(i, j), d) << "gemm (" << i << "," << j << ")";
+      EXPECT_EQ(g(i, kTailM + j), d) << "gram (" << i << "," << j << ")";
+      EXPECT_EQ(g(kTailM + j, i), d) << "gram mirror (" << i << "," << j << ")";
+    }
+  }
+}
+
+TEST(InnerProductKernel, GemmTransCasesMatchNaiveReferenceRelatively) {
+  // Entry-wise against the naive product, relative to the scale of the
+  // entry's terms, sum_l |op(A)(i,l)| |op(B)(l,j)|.
+  for (const Trans ta : {Trans::kNo, Trans::kYes}) {
+    for (const Trans tb : {Trans::kNo, Trans::kYes}) {
+      Rng rng(14);
+      const Matrix a = ta == Trans::kNo ? rng.gaussian_matrix(kTailM, kTailK)
+                                        : rng.gaussian_matrix(kTailK, kTailM);
+      const Matrix b = tb == Trans::kNo ? rng.gaussian_matrix(kTailK, kTailN)
+                                        : rng.gaussian_matrix(kTailN, kTailK);
+      Matrix abs_a = a, abs_b = b;
+      for (Index j = 0; j < a.cols(); ++j) {
+        for (Real& v : abs_a.col(j)) v = std::abs(v);
+      }
+      for (Index j = 0; j < b.cols(); ++j) {
+        for (Real& v : abs_b.col(j)) v = std::abs(v);
+      }
+      const Matrix got = matmul(a, b, ta, tb);
+      const Matrix want = reference_matmul(a, b, ta, tb);
+      const Matrix scale = reference_matmul(abs_a, abs_b, ta, tb);
+      for (Index j = 0; j < kTailN; ++j) {
+        for (Index i = 0; i < kTailM; ++i) {
+          EXPECT_LE(std::abs(got(i, j) - want(i, j)), 1e-12 * scale(i, j))
+              << "ta=" << (ta == Trans::kYes) << " tb=" << (tb == Trans::kYes)
+              << " at (" << i << "," << j << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST(InnerProductKernel, GemmBetaZeroIgnoresGarbage) {
+  Rng rng(15);
+  const Matrix a = rng.gaussian_matrix(kTailK, kTailM);
+  const Matrix b = rng.gaussian_matrix(kTailK, kTailN);
+  Matrix c(kTailM, kTailN);
+  for (Index j = 0; j < kTailN; ++j) {
+    for (Real& v : c.col(j)) v = std::nan("");
+  }
+  gemm(1, a, Trans::kYes, b, Trans::kNo, 0, c);
+  EXPECT_LT(max_abs_diff(c, reference_matmul(a, b, Trans::kYes, Trans::kNo)), 1e-12);
+}
+
 TEST(FlopCounters, MatchFormulas) {
   EXPECT_EQ(gemv_flops(10, 20), 400u);
   EXPECT_EQ(gemm_flops(2, 3, 4), 48u);

@@ -48,6 +48,22 @@ TEST(GramExtend, BorderedEqualsFullRecomputeBitwise) {
   }
 }
 
+TEST(GramExtend, BorderedEqualsFullRecomputeBitwiseOnTailShapes) {
+  // 37 rows (not a multiple of the kernel's 8 lanes), 23 + 5 columns (not
+  // multiples of its 4×3 tiles).
+  const Matrix dict = gaussian(37, 23, 23);
+  const Matrix extra = gaussian(37, 5, 24);
+  Matrix extended_dict = dict;
+  extended_dict.append_columns(extra);
+  const Matrix full = la::gram(extended_dict);
+  const Matrix bordered = core::extend_gram_bordered(la::gram(dict), dict, extra);
+  for (Index j = 0; j < full.cols(); ++j) {
+    for (Index i = 0; i < full.rows(); ++i) {
+      EXPECT_EQ(bordered(i, j), full(i, j)) << "at (" << i << "," << j << ")";
+    }
+  }
+}
+
 TEST(GramExtend, RejectsMismatchedShapes) {
   const Matrix dict = gaussian(10, 12, 7);
   const Matrix gram = la::gram(dict);
@@ -102,6 +118,49 @@ TEST(DictRegistry, ExtendedEpochEncodesLikeFreshCoder) {
     EXPECT_NEAR(got.entries[k].second, want.entries[k].second, 1e-12);
   }
   EXPECT_NEAR(got.residual_norm, want.residual_norm, 1e-12);
+}
+
+TEST(DictRegistry, BlockEncodeEqualsPerColumnEncodeExactlyOnExtendedEpoch) {
+  // An extended epoch's near-duplicate atoms make argmax ties fragile: a
+  // column coded inside a block (α₀ from gemm) must get exactly the code
+  // that encode (α₀ from gemv_t) gives it alone — same support, same
+  // values, same residual — or served codes stop matching direct encodes.
+  const OmpConfig omp{.tolerance = 1e-3};
+  const Matrix base = gaussian(37, 30, 25);
+  Matrix near = base.select_columns(std::vector<Index>{0, 1, 2, 3, 4});
+  const Matrix nudge = gaussian(37, 5, 26);
+  for (Index j = 0; j < near.cols(); ++j) la::axpy(1e-6, nudge.col(j), near.col(j));
+  DictRegistry registry(base, omp);
+  registry.extend(near);
+  const auto epoch = registry.current();
+
+  Matrix signals = gaussian(37, 53, 27);  // two full 24-column blocks + 5
+  for (Index j = 0; j < signals.cols(); ++j) {
+    la::axpy(3.0, epoch->dictionary.col(j % epoch->dictionary.cols()), signals.col(j));
+  }
+  const auto block = epoch->coder.encode_columns(signals);
+  const la::CscMatrix all = epoch->coder.encode_all(signals);
+  ASSERT_EQ(block.size(), static_cast<std::size_t>(signals.cols()));
+  for (Index j = 0; j < signals.cols(); ++j) {
+    const auto alone = epoch->coder.encode(signals.col(j));
+    const auto& got = block[static_cast<std::size_t>(j)];
+    ASSERT_EQ(got.entries, alone.entries) << "column " << j;
+    EXPECT_EQ(got.residual_norm, alone.residual_norm) << "column " << j;
+    EXPECT_EQ(got.flops, alone.flops) << "column " << j;
+    ASSERT_EQ(static_cast<std::size_t>(all.col_nnz(j)), alone.entries.size());
+    const auto rows = all.col_rows(j);
+    const auto values = all.col_values(j);
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      bool found = false;
+      for (const auto& [atom, coeff] : alone.entries) {
+        if (atom == rows[k]) {
+          EXPECT_EQ(values[k], coeff) << "column " << j << " atom " << atom;
+          found = true;
+        }
+      }
+      EXPECT_TRUE(found) << "column " << j << " atom " << rows[k];
+    }
+  }
 }
 
 TEST(DictRegistry, PinnedEpochSurvivesFlipUntilReleased) {

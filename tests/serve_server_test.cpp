@@ -338,6 +338,35 @@ TEST(ExtDictServer, LatencyHistogramsLandInGlobalRegistry) {
             before + signals.size());
 }
 
+TEST(ExtDictServer, EncodeLatencyIsPerColumnAndBatchWindowIsSeparate) {
+  // serve.latency.encode_seconds is each column's own encode time, inside
+  // its batch's window; serve.latency.batch_encode_seconds is that window,
+  // once per column, and equals what EncodeResult::encode_seconds reports.
+  util::MetricsRegistry& metrics = util::MetricsRegistry::global();
+  metrics.set_enabled(true);
+  const auto& encode = metrics.histogram("serve.latency.encode_seconds");
+  const auto& window = metrics.histogram("serve.latency.batch_encode_seconds");
+  const std::uint64_t encode_count = encode.count();
+  const std::uint64_t window_count = window.count();
+  const double encode_sum = encode.sum();
+  const double window_sum = window.sum();
+
+  const Index m = 16, l = 32;
+  ExtDictServer server(test_dictionary(m, l),
+                       {.max_batch = 8, .max_delay_us = 2000, .workers = 1, .omp = {}});
+  const auto signals = test_signals(m, 24);
+  std::vector<std::future<EncodeResult>> futures;
+  for (const auto& x : signals) futures.push_back(server.submit(x));
+  double reported = 0;
+  for (auto& f : futures) reported += f.get().encode_seconds;
+  server.stop();
+
+  EXPECT_EQ(encode.count(), encode_count + signals.size());
+  EXPECT_EQ(window.count(), window_count + signals.size());
+  EXPECT_LE(encode.sum() - encode_sum, window.sum() - window_sum);
+  EXPECT_NEAR(window.sum() - window_sum, reported, 1e-9);
+}
+
 TEST(ExtDictServer, GaugesDrainToTheirPriorLevels) {
   // Queue depth, in-flight, busy workers, and cache occupancy are tracked
   // levels (every + has a -), so a drained-and-destroyed server returns

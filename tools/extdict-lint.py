@@ -50,6 +50,14 @@ Enforces project rules the generic .clang-tidy configuration cannot express:
                          breaks the subsystem grouping every dashboard and
                          diff relies on.
 
+  per-column-encode-loop an `omp parallel` region outside src/sparsecoding/
+                         must not call `.encode(` per column: Alg. 1's
+                         per-thread block encode (one Dᵀ·X product per
+                         block, reused workspace) is
+                         `BatchOmp::encode_columns` / `encode_all`. A
+                         hand-rolled loop of single encodes pays one gemv_t
+                         and a fresh workspace per column.
+
   orphan-module          every src/ header must be included by something
                          other than tests/ and its own .cpp (another src/
                          file, bench/ or examples/). A module only tests
@@ -88,9 +96,11 @@ RULE_TRACE = "trace-in-hot-path"
 RULE_OMP_DEFAULT = "omp-default-none"
 RULE_METRIC_NAME = "metric-name-style"
 RULE_ORPHAN = "orphan-module"
+RULE_ENCODE_LOOP = "per-column-encode-loop"
 
 ALL_RULES = (RULE_SYNC, RULE_SHAPE, RULE_HOT_ALLOC, RULE_CPP_INCLUDE,
-             RULE_TRACE, RULE_OMP_DEFAULT, RULE_METRIC_NAME, RULE_ORPHAN)
+             RULE_TRACE, RULE_OMP_DEFAULT, RULE_METRIC_NAME, RULE_ORPHAN,
+             RULE_ENCODE_LOOP)
 
 # Directories whose files are per-element hot kernels: no tracing there.
 TRACE_FORBIDDEN_PREFIXES = ("src/la/", "src/sparsecoding/")
@@ -137,6 +147,10 @@ CONTROL_KEYWORDS = {"if", "for", "while", "switch", "catch", "return", "do", "el
 # for` inherits the enclosing region's data-sharing rules.
 OMP_PARALLEL_RE = re.compile(r"^\s*#\s*pragma\s+omp\s+parallel\b")
 DEFAULT_NONE_RE = re.compile(r"\bdefault\s*\(\s*none\s*\)")
+
+# The sparse coder's own files hold the block encode itself.
+ENCODE_LOOP_ALLOWED_PREFIX = "src/sparsecoding/"
+ENCODE_CALL_RE = re.compile(r"(?:\.|->)\s*encode\s*\(")
 
 # MetricsRegistry and TraceRecorder entry points whose first argument is the
 # metric or event name.
@@ -338,6 +352,38 @@ def function_definitions(masked: str):
         yield header_start, name, header[paren + 1:close], open_idx + 1, body_end - 1
 
 
+def omp_parallel_bodies(masked: str):
+    """Yields (pragma_line, body) for each `#pragma omp parallel` directive:
+    the statement the directive applies to (a `for` loop or a block)."""
+    for m in re.finditer(r"^[ \t]*#[ \t]*pragma[ \t]+omp[ \t]+parallel\b.*$",
+                         masked, re.M):
+        end = m.end()
+        while masked[m.start():end].rstrip().endswith("\\"):
+            nl = masked.find("\n", end + 1)
+            end = len(masked) if nl < 0 else nl
+        i = end
+        while i < len(masked) and masked[i].isspace():
+            i += 1
+        if masked.startswith("for", i):
+            paren = masked.find("(", i)
+            depth, j = 0, paren
+            while j < len(masked):
+                depth += {"(": 1, ")": -1}.get(masked[j], 0)
+                j += 1
+                if depth == 0:
+                    break
+            i = j
+            while i < len(masked) and masked[i].isspace():
+                i += 1
+        if i < len(masked) and masked[i] == "{":
+            close = match_brace(masked, i)
+            body = masked[i:close if close > 0 else len(masked)]
+        else:
+            semi = masked.find(";", i)
+            body = masked[i:semi if semi >= 0 else len(masked)]
+        yield line_of(masked, m.start()), body
+
+
 def innermost_hot_loops(masked: str):
     """Yields (loop_start, body_start, body_end) for the innermost loops
     containing an EXTDICT_HOT_ASSERT."""
@@ -494,6 +540,19 @@ def check_file(path: Path, rel: str, violations: list[Violation]) -> None:
             "omp parallel directive without default(none); list every "
             "variable's sharing explicitly (shared/private/firstprivate/"
             "reduction) so nothing is shared by accident"))
+
+    # -- per-column encode loops in parallel regions --------------------------
+    if not rel_posix.startswith(ENCODE_LOOP_ALLOWED_PREFIX):
+        for start, body in omp_parallel_bodies(masked):
+            if not ENCODE_CALL_RE.search(body):
+                continue
+            if is_waived(waivers, start, RULE_ENCODE_LOOP):
+                continue
+            violations.append(Violation(
+                path, start, RULE_ENCODE_LOOP,
+                "omp parallel region calls .encode( per column; code "
+                "column blocks with BatchOmp::encode_columns (one Dᵀ·X "
+                "product per block, reused workspace)"))
 
     # -- metric name style ----------------------------------------------------
     # The default mask blanks string literals, so this rule scans a
