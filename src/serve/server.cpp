@@ -248,10 +248,7 @@ void ExtDictServer::encode_batch(std::vector<Request>& batch) {
   std::vector<sparsecoding::SparseCode> codes(batch.size());
   std::vector<std::exception_ptr> errors(batch.size());
   std::vector<double> column_seconds(batch.size());
-  // Per-request stopping rules and per-column failures keep this a loop of
-  // single encodes; one block product per micro-batch is ROADMAP item 2's
-  // server part.
-  // extdict-lint: allow(per-column-encode-loop) per-request configs; block encode for serving is ROADMAP item 2
+  // extdict-lint: allow(per-column-encode-loop) per-request stopping rules and per-column failures; one block product per micro-batch is ROADMAP item 2's server part
 #pragma omp parallel for schedule(dynamic, 1) default(none) \
     shared(batch, codes, errors, column_seconds, columns, epoch) if (columns > 1)
   for (Index j = 0; j < columns; ++j) {

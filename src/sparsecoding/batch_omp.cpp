@@ -75,14 +75,14 @@ SparseCode BatchOmp::encode(std::span<const Real> signal,
   // The block-of-one case of encode_columns: gemv_t's entries are bitwise
   // the gemm(kYes) entries a block computes.
   Workspace ws(l);
-  const Real energy = la::dot(signal, signal);
+  const Real eps0 = la::dot(signal, signal);
   la::Vector alpha0(static_cast<std::size_t>(l));
-  if (energy != Real{0}) la::gemv_t(1, *dict_, signal, 0, alpha0);
-  return pursue(energy, alpha0, config, ws);
+  if (eps0 != Real{0}) la::gemv_t(1, *dict_, signal, 0, alpha0);
+  return pursue(eps0, alpha0, config, ws);
 }
 
 // extdict-lint: allow(missing-shape-contract) private; encode and encode_columns check the signal and size alpha0 from the dictionary
-SparseCode BatchOmp::pursue(Real energy, std::span<const Real> alpha0,
+SparseCode BatchOmp::pursue(Real eps0, std::span<const Real> alpha0,
                             const OmpConfig& config, Workspace& ws) const {
   const Index m = dict_->rows();
   const Index l = dict_->cols();
@@ -96,7 +96,6 @@ SparseCode BatchOmp::pursue(Real energy, std::span<const Real> alpha0,
   const auto um = static_cast<std::uint64_t>(m);
   const auto ul = static_cast<std::uint64_t>(l);
   std::uint64_t flops = 2 * um;  // eps0 = <x, x>
-  const Real eps0 = energy;
   if (eps0 == Real{0} || max_atoms == 0) {
     code.flops = flops;
     return code;

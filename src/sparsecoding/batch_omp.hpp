@@ -73,9 +73,9 @@ class BatchOmp {
  private:
   struct Workspace;
 
-  /// The Gram-domain iterations of one signal, given its energy <x, x> and
+  /// The Gram-domain iterations of one signal x, given eps0 = <x, x> and
   /// its initial correlations α₀ = Dᵀx.
-  [[nodiscard]] SparseCode pursue(Real energy, std::span<const Real> alpha0,
+  [[nodiscard]] SparseCode pursue(Real eps0, std::span<const Real> alpha0,
                                   const OmpConfig& config,
                                   Workspace& ws) const;
 
