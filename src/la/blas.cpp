@@ -36,7 +36,7 @@ namespace {
 //   3. the K-tail added in order.
 // That is what makes la::dot, a gemv_t entry, a gemm(kYes) entry and a gram
 // entry bitwise equal. It holds because this file is compiled with
-// -ffp-contract=off (src/CMakeLists.txt): with contraction on, GCC fuses
+// -ffp-contract=off (src/CMakeLists.txt): with contraction on, GCC may fuse
 // a*b+acc into an FMA in some tile shapes and not in others.
 constexpr std::size_t kLanes = 8;  // W
 constexpr Index kTileRows = 4;     // MR: columns of a per tile
