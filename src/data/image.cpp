@@ -72,10 +72,6 @@ Image make_smooth_scene(Index width, Index height, la::Rng& rng,
   return img;
 }
 
-void add_gaussian_noise(Image& img, Real stddev, la::Rng& rng) {
-  for (Real& v : img.pixels) v += rng.gaussian(0, stddev);
-}
-
 Real psnr_db(const std::vector<Real>& reference,
              const std::vector<Real>& reconstructed) {
   if (reference.size() != reconstructed.size() || reference.empty()) {
@@ -92,25 +88,6 @@ Real psnr_db(const std::vector<Real>& reference,
   if (mse == Real{0}) return std::numeric_limits<Real>::infinity();
   if (peak == Real{0}) peak = 1;
   return Real{10} * std::log10(peak * peak / mse);
-}
-
-Matrix extract_patches(const Image& img, Index patch, Index count, la::Rng& rng) {
-  if (patch > img.width || patch > img.height) {
-    throw std::invalid_argument("extract_patches: patch larger than image");
-  }
-  Matrix out(patch * patch, count);
-  for (Index j = 0; j < count; ++j) {
-    const Index x0 = rng.uniform_index(0, img.width - patch);
-    const Index y0 = rng.uniform_index(0, img.height - patch);
-    auto col = out.col(j);
-    Index k = 0;
-    for (Index dy = 0; dy < patch; ++dy) {
-      for (Index dx = 0; dx < patch; ++dx) {
-        col[static_cast<std::size_t>(k++)] = img.at(x0 + dx, y0 + dy);
-      }
-    }
-  }
-  return out;
 }
 
 void write_pgm(const Image& img, const std::string& path) {

@@ -40,19 +40,10 @@ struct Image {
 [[nodiscard]] Image make_smooth_scene(Index width, Index height, la::Rng& rng,
                                       int blur_passes = 6, Index blur_radius = 3);
 
-/// Adds N(0, stddev) noise to every pixel (no clamping; callers compare in
-/// the linear domain).
-void add_gaussian_noise(Image& img, Real stddev, la::Rng& rng);
-
 /// Peak signal-to-noise ratio in dB: 10 log10(MAX² / MSE) where MAX is the
 /// reference image's peak value (the paper's §VIII-D2 metric).
 [[nodiscard]] Real psnr_db(const std::vector<Real>& reference,
                            const std::vector<Real>& reconstructed);
-
-/// Extracts `count` square patches of side `patch` at random positions; each
-/// patch becomes one column (length patch²) of the result.
-[[nodiscard]] Matrix extract_patches(const Image& img, Index patch, Index count,
-                                     la::Rng& rng);
 
 /// Binary PGM (P5, 8-bit) I/O for eyeballing example outputs.
 void write_pgm(const Image& img, const std::string& path);

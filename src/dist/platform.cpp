@@ -3,11 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "la/blas.hpp"
-#include "la/matrix.hpp"
-#include "la/random.hpp"
-#include "util/timer.hpp"
-
 namespace extdict::dist {
 
 double PlatformSpec::modeled_seconds(const RunStats& stats) const {
@@ -46,44 +41,6 @@ PlatformSpec PlatformSpec::idataplex(Topology topo) {
   spec.name = "idataplex-" + topo.name();
   spec.topology = topo;
   return spec;
-}
-
-void PlatformSpec::calibrate_on_host() {
-  la::Rng rng(42);
-
-  // FLOP rate: timed dense gemv on an in-cache matrix.
-  {
-    const la::Index m = 512, n = 512;
-    la::Matrix a = rng.gaussian_matrix(m, n);
-    la::Vector x(static_cast<std::size_t>(n)), y(static_cast<std::size_t>(m));
-    rng.fill_gaussian(x);
-    util::Timer t;
-    int reps = 0;
-    while (t.elapsed_seconds() < 0.05) {
-      la::gemv(1, a, x, 0, y);
-      ++reps;
-    }
-    const double flops = static_cast<double>(reps) *
-                         static_cast<double>(la::gemv_flops(m, n));
-    flops_per_second = std::max(1e8, flops / t.elapsed_seconds());
-  }
-
-  // Streaming bandwidth: large memcpy-like triad.
-  {
-    const std::size_t n = 4u << 20;  // 32 MiB of doubles, beyond LLC
-    std::vector<la::Real> src(n, 1.0), dst(n, 0.0);
-    util::Timer t;
-    int reps = 0;
-    while (t.elapsed_seconds() < 0.05) {
-      for (std::size_t i = 0; i < n; ++i) dst[i] = src[i] + 0.5 * dst[i];
-      ++reps;
-    }
-    const double words = static_cast<double>(reps) * static_cast<double>(n) * 2;
-    intra_words_per_second = std::max(1e7, words / t.elapsed_seconds());
-  }
-
-  // Keep the preset intra/inter ratio so multi-node shapes stay physical.
-  inter_words_per_second = intra_words_per_second / 8.0;
 }
 
 std::vector<PlatformSpec> paper_platforms() {

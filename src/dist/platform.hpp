@@ -16,9 +16,8 @@ namespace extdict::dist {
 /// Defaults emulate the paper's IBM iDataPlex nodes (Intel Xeon X5660,
 /// 2.8 GHz, QDR InfiniBand): per-core ~3 GFLOP/s sustained on dense
 /// matrix-vector work, tens of GB/s shared-memory bandwidth inside a node
-/// and a few GB/s across nodes. The *ratios* are what shape every figure;
-/// `calibrate()` can re-measure the FLOP rate and memory bandwidth of the
-/// host if absolute milliseconds are wanted.
+/// and a few GB/s across nodes. The *ratios* are what shape every figure,
+/// so the modelled milliseconds are the emulated cluster's, not this host's.
 struct PlatformSpec {
   std::string name;
   Topology topology;
@@ -59,10 +58,6 @@ struct PlatformSpec {
   /// Platform preset emulating the paper's cluster at a given shape.
   [[nodiscard]] static PlatformSpec idataplex(Topology topo);
 
-  /// Measures this host's dense FLOP rate and streaming bandwidth and
-  /// rescales the spec accordingly (keeps inter-node parameters, which have
-  /// no physical counterpart on a single host, at the preset ratio).
-  void calibrate_on_host();
 };
 
 /// The paper's four evaluation platforms (1x1, 1x4, 2x8, 8x8).

@@ -1,3 +1,4 @@
+// extdict-lint: allow(orphan-module) Matrix Market is the library's one persistence format and extdict_cli's input
 #pragma once
 
 #include <string>

@@ -1,3 +1,4 @@
+// extdict-lint: allow(orphan-module) the remote client behind `extdict_cli serve --connect`, which the CI daemon smoke step drives
 #pragma once
 
 #include <cstdint>

@@ -53,15 +53,6 @@ TEST(Image, SmoothSceneIsSmootherThanNoise) {
   EXPECT_LT(tv, 0.05);
 }
 
-TEST(Image, GaussianNoiseChangesPixels) {
-  la::Rng rng(2);
-  Image img(8, 8);
-  add_gaussian_noise(img, 0.1, rng);
-  Real sum_abs = 0;
-  for (Real v : img.pixels) sum_abs += std::abs(v);
-  EXPECT_GT(sum_abs, 0.0);
-}
-
 TEST(Psnr, InfiniteForIdenticalSignals) {
   std::vector<Real> a = {0.1, 0.5, 0.9};
   EXPECT_TRUE(std::isinf(psnr_db(a, a)));
@@ -86,27 +77,6 @@ TEST(Psnr, HigherNoiseLowerPsnr) {
 TEST(Psnr, MismatchThrows) {
   std::vector<Real> a(3), b(4);
   EXPECT_THROW((void)psnr_db(a, b), std::invalid_argument);
-}
-
-TEST(Patches, ExtractsColumnsOfExpectedShape) {
-  la::Rng rng(4);
-  Image img = make_smooth_scene(40, 40, rng);
-  Matrix p = extract_patches(img, 8, 30, rng);
-  EXPECT_EQ(p.rows(), 64);
-  EXPECT_EQ(p.cols(), 30);
-  // All values come from the image range.
-  for (la::Index j = 0; j < 30; ++j) {
-    for (Real v : p.col(j)) {
-      EXPECT_GE(v, 0.0);
-      EXPECT_LE(v, 1.0);
-    }
-  }
-}
-
-TEST(Patches, PatchLargerThanImageThrows) {
-  la::Rng rng(5);
-  Image img(4, 4);
-  EXPECT_THROW(extract_patches(img, 8, 1, rng), std::invalid_argument);
 }
 
 TEST(Pgm, RoundTripsThroughDisk) {

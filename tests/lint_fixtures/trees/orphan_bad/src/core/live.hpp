@@ -1,5 +1,5 @@
 // Lint fixture tree (orphan-module, bad): a header with a real caller in
-// examples/. Never compiled — scanned by extdict-lint's self-test.
+// bench/. Never compiled — scanned by extdict-lint's self-test.
 // extdict-lint-expect: none
 #pragma once
 

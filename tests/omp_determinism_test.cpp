@@ -8,8 +8,8 @@
 // reduction(+ : num, den) combines partial sums in a schedule-dependent
 // order; it gets a tight relative tolerance instead of bitwise equality.
 //
-// serve::ExtDictServer and apps::patch_pipeline wrap these kernels behind
-// threads/IO and are covered by their own stress tests.
+// serve::ExtDictServer wraps these kernels behind threads/IO and is covered
+// by its own stress tests.
 #include <gtest/gtest.h>
 
 #include <cstddef>

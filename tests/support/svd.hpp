@@ -4,8 +4,8 @@
 #include "la/random.hpp"
 #include "la/types.hpp"
 
-// Reference SVD oracle for the tests (singular spectra that data, Lanczos
-// and power-method results are checked against). No library code path
+// Reference SVD oracle for the tests (singular spectra that data and
+// power-method results are checked against). No library code path
 // computes an SVD, so it lives in the test-support target, not in src/la.
 
 namespace extdict::la {

@@ -58,13 +58,16 @@ Enforces project rules the generic .clang-tidy configuration cannot express:
                          hand-rolled loop of single encodes pays one gemv_t
                          and a fresh workspace per column.
 
-  orphan-module          every src/ header must be included by something
-                         other than tests/ and its own .cpp (another src/
-                         file, bench/ or examples/). A module only tests
-                         reach is a second implementation or a test oracle
-                         shipped in the library: delete it or move it to
-                         tests/support/. Tree scans only: the rule needs
-                         every includer, so file arguments skip it.
+  orphan-module          every src/ header must be included by another
+                         src/ file or by bench/, not only by tests/,
+                         examples/ and its own .cpp. A module only tests or
+                         demos reach serves no figure, table or workload: a
+                         second implementation or a test oracle shipped in
+                         the library. Delete it, move an oracle to
+                         tests/support/, or waive the header's `#pragma once`
+                         line with the paper claim or tool it serves. Tree
+                         scans only: the rule needs every includer, so file
+                         arguments skip it.
 
 Usage:
   tools/extdict-lint.py [--root DIR]        # scan the tree (default: repo)
@@ -117,6 +120,11 @@ SYNC_PRIMITIVE_RE = re.compile(
 SYNC_HEADER_RE = re.compile(r"^(?:mutex|condition_variable|shared_mutex)$")
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*[<"]([^<>"]+)[>"]')
+PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once\b")
+
+# Includers that do not make a src/ module live: tests check it, examples
+# only demonstrate it.
+NON_CALLER_PREFIXES = ("tests/", "examples/")
 
 WAIVER_RE = re.compile(r"extdict-lint:\s*allow\(([\w-]+)\)")
 
@@ -610,7 +618,10 @@ def check_file(path: Path, rel: str, violations: list[Violation]) -> None:
 
 def check_orphan_modules(root: Path, files: list[Path],
                          violations: list[Violation]) -> None:
-    """Flags src/ headers included only by tests/ and their own .cpp.
+    """Flags src/ headers included only by tests/, examples/ and own .cpp.
+
+    The violation sits on the header's `#pragma once` line, so a waiver on
+    that line or the one above it applies.
 
     `#include "x"` resolves against src/ first (the project's include root),
     then against the including file's directory.
@@ -635,13 +646,20 @@ def check_orphan_modules(root: Path, files: list[Path],
             continue
         own_units = {Path(rel).with_suffix(s).as_posix() for s in (".cpp", ".cc")}
         callers = {u for u in includers.get(rel, set())
-                   if u not in own_units and not u.startswith("tests/")}
+                   if u not in own_units
+                   and not u.startswith(NON_CALLER_PREFIXES)}
         if callers:
             continue
+        text = path.read_text(encoding="utf-8", errors="replace")
+        line = next((n for n, src in enumerate(text.splitlines(), start=1)
+                     if PRAGMA_ONCE_RE.match(src)), 1)
+        if is_waived(waived_lines(text), line, RULE_ORPHAN):
+            continue
         violations.append(Violation(
-            path, 1, RULE_ORPHAN,
-            f"{rel} is included only by tests/ and its own translation unit; "
-            "delete the module or move it to tests/support/"))
+            path, line, RULE_ORPHAN,
+            f"{rel} is included only by tests/, examples/ and its own "
+            "translation unit; delete the module, move it to tests/support/ "
+            "or waive its `#pragma once` line with what it serves"))
 
 
 def gather_tree_files(root: Path) -> list[Path]:
